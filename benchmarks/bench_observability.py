@@ -12,7 +12,8 @@ Three questions, answered on the full front-end pipeline
   phase; overhead is reported as an A/B ratio against the untraced
   run.
 * **Where the time goes**: per-phase totals for ``fig3a`` and a
-  generated ~200-node unstructured program.
+  generated ~200-node unstructured program, each the median over
+  ``ITERATIONS`` traced requests.
 
 Standalone reporter::
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import json
 import random
+import statistics
 import time
 
 from repro.corpus import PAPER_PROGRAMS
@@ -125,20 +127,27 @@ def disabled_call_seconds(samples: int = 200_000) -> float:
     return _best_of(REPEATS, run) / samples
 
 
-def _phase_breakdown(source, criterion):
-    tracer = Tracer()
-    with use_tracer(tracer):
-        with tracer.span("slice", algorithm=ALGORITHM):
-            _run_once(source, criterion)
-    wall = sum(root.seconds for root in tracer.roots) or 1e-12
-    return {
-        name: {
-            "count": count,
+def _phase_breakdown(source, criterion, samples: int = ITERATIONS):
+    """Per-phase median over *samples* traced requests.  One request's
+    split is at the mercy of a single garbage-collector pause, which can
+    land in any phase and double it."""
+    runs = []
+    for _ in range(samples):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            with tracer.span("slice", algorithm=ALGORITHM):
+                _run_once(source, criterion)
+        runs.append(phase_totals(tracer))
+    wall = statistics.median(run["slice"][1] for run in runs) or 1e-12
+    breakdown = {}
+    for name in sorted(runs[0]):
+        seconds = statistics.median(run.get(name, (0, 0.0))[1] for run in runs)
+        breakdown[name] = {
+            "count": runs[0][name][0],
             "total_ms": round(seconds * 1000.0, 4),
             "share_pct": round(100.0 * seconds / wall, 2),
         }
-        for name, (count, seconds) in sorted(phase_totals(tracer).items())
-    }
+    return breakdown
 
 
 def measure():

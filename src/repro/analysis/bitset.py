@@ -137,7 +137,6 @@ def reverse_postorder(cfg: ControlFlowGraph, forward: bool = True) -> List[int]:
 
 def solve_gen_kill_bitset(
     cfg: ControlFlowGraph,
-    universe: BitUniverse,
     gen: Dict[int, int],
     kill: Dict[int, int],
     forward: bool,

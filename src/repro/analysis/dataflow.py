@@ -195,9 +195,7 @@ def _solve_bitset(
     kill = {n: universe.mask_of(kill_sets[n]) for n in node_ids}
 
     forward = problem.direction == FORWARD
-    before, after = solve_gen_kill_bitset(
-        cfg, universe, gen, kill, forward=forward
-    )
+    before, after = solve_gen_kill_bitset(cfg, gen, kill, forward=forward)
     before_sets = {n: universe.decode(m) for n, m in before.items()}
     after_sets = {n: universe.decode(m) for n, m in after.items()}
     if forward:

@@ -10,7 +10,12 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.reaching_defs import Definition, compute_reaching_definitions
+from repro.analysis.bitset import iter_bits
+from repro.analysis.reaching_defs import (
+    Definition,
+    ReachingDefinitions,
+    compute_reaching_definitions,
+)
 from repro.cfg.graph import ControlFlowGraph
 
 
@@ -63,6 +68,19 @@ def compute_data_dependence(
     if reaching is None:
         reaching = compute_reaching_definitions(cfg)
     ddg = DataDependenceGraph()
+    if isinstance(reaching, ReachingDefinitions):
+        # Mask-native: the definitions of v reaching n are
+        # in_mask[n] & var_mask[v], no set decoded.
+        in_mask, var_mask = reaching.in_mask, reaching.var_mask
+        def_nodes = reaching.def_nodes
+        for node in cfg.sorted_nodes():
+            reaching_in = in_mask[node.id]
+            if not (node.uses and reaching_in):
+                continue
+            for var in sorted(node.uses):
+                for bit in iter_bits(reaching_in & var_mask.get(var, 0)):
+                    ddg.add(def_nodes[bit], node.id, var)
+        return ddg
     for node in cfg.sorted_nodes():
         if not node.uses:
             continue

@@ -35,13 +35,15 @@ independently from the AST as a cross-check).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.cfg.graph import ControlFlowGraph, EdgeLabel, NodeKind
 from repro.lang.ast_nodes import (
     Assign,
+    Binary,
     Block,
     Break,
+    Call,
     CallStmt,
     Continue,
     DoWhile,
@@ -57,6 +59,8 @@ from repro.lang.ast_nodes import (
     Skip,
     Stmt,
     Switch,
+    Unary,
+    Var,
     While,
     Write,
 )
@@ -69,13 +73,54 @@ INPUT_CURSOR = "$in"
 
 
 def _expr_uses(expr: Optional[Expr], chain_io: bool) -> FrozenSet[str]:
-    """Variables an expression reads, including ``$in`` for ``eof()``."""
-    if expr is None:
-        return frozenset()
-    uses = set(expr.variables())
-    if chain_io and "eof" in expr.calls():
-        uses.add(INPUT_CURSOR)
+    """Variables an expression reads, including ``$in`` for ``eof()``.
+
+    One walk over the tree; ``Expr.variables`` plus ``Expr.calls`` would
+    take two, each building a set per subexpression."""
+    uses: Set[str] = set()
+    stack = [expr] if expr is not None else []
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Var:
+            uses.add(node.name)
+        elif kind is Binary:
+            stack.append(node.left)
+            stack.append(node.right)
+        elif kind is Unary:
+            stack.append(node.operand)
+        elif kind is Call:
+            if chain_io and node.name == "eof":
+                uses.add(INPUT_CURSOR)
+            stack.extend(node.args)
+        elif kind is not Num:
+            raise TypeError(f"unknown expression node: {node!r}")
     return frozenset(uses)
+
+
+def _checked_signatures(program: Program) -> Dict[str, object]:
+    """Validate *program* and return its parameter signatures, computing
+    both once per Program: the SDG builder builds one CFG per unit of the
+    same program, and each build needs the same whole-program answers.
+    An invalid program raises the same :class:`ValidationError` text on
+    every build."""
+    if program.cfg_front is None:
+        diagnostics = check_program(program)
+        if diagnostics:
+            error = "cannot build CFG for an invalid program:\n  " + "\n  ".join(
+                diagnostics
+            )
+            program.cfg_front = (error, {})
+        elif program.procs:
+            from repro.sdg.params import signatures as param_signatures
+
+            program.cfg_front = (None, param_signatures(program))
+        else:
+            program.cfg_front = (None, {})
+    error, signatures = program.cfg_front
+    if error is not None:
+        raise ValidationError(error)
+    return signatures
 
 
 class CFGBuilder:
@@ -109,19 +154,10 @@ class CFGBuilder:
         are no procedures); ``unit="f"`` builds procedure ``f``'s body,
         wrapped in its formal-in / formal-out parameter nodes.
         """
-        diagnostics = check_program(program)
-        if diagnostics:
-            raise ValidationError(
-                "cannot build CFG for an invalid program:\n  "
-                + "\n  ".join(diagnostics)
-            )
+        self._signatures = _checked_signatures(program)
         proc = program.proc_named(unit) if unit else None
         if unit and proc is None:
             raise ValidationError(f"no procedure named {unit!r}")
-        if program.procs:
-            from repro.sdg.params import signatures as param_signatures
-
-            self._signatures = param_signatures(program)
         body = proc.body if proc is not None else program.body
         formals: List[str] = []
         if proc is not None:
@@ -201,7 +237,12 @@ class CFGBuilder:
     def _create_nodes(self, stmt: Stmt) -> None:
         cfg = self._cfg
         chain = self.chain_io
-        if isinstance(stmt, Skip):
+        # The statement kinds are disjoint classes; the most frequent
+        # ones are tested first.
+        if isinstance(stmt, Block):
+            for inner in stmt.stmts:
+                self._create_nodes(inner)
+        elif isinstance(stmt, Skip):
             node = cfg.new_node(NodeKind.SKIP, stmt, stmt.line, text=";")
             cfg.map_stmt(stmt, node.id)
         elif isinstance(stmt, Assign):
@@ -347,9 +388,6 @@ class CFGBuilder:
             cfg.map_stmt(stmt, node.id)
         elif isinstance(stmt, CallStmt):
             self._create_call_nodes(stmt)
-        elif isinstance(stmt, Block):
-            for inner in stmt.stmts:
-                self._create_nodes(inner)
         else:
             raise TypeError(f"unknown statement node: {stmt!r}")
 
@@ -462,6 +500,8 @@ class CFGBuilder:
             cfg.add_edge(node_id, nxt, EdgeLabel.FALL)
             self._lexical_parent[node_id] = nxt
             return node_id
+        if isinstance(stmt, Block):
+            return self._wire_sequence(stmt.stmts, nxt, brk, cont)
         if isinstance(stmt, Goto):
             node_id = cfg.node_of(stmt)
             self._pending_gotos.append((node_id, stmt.target, EdgeLabel.JUMP))
@@ -548,8 +588,6 @@ class CFGBuilder:
             return self._wire_for(stmt, nxt, brk, cont)
         if isinstance(stmt, Switch):
             return self._wire_switch(stmt, nxt, cont)
-        if isinstance(stmt, Block):
-            return self._wire_sequence(stmt.stmts, nxt, brk, cont)
         raise TypeError(f"unknown statement node: {stmt!r}")
 
     def _wire_for(

@@ -198,24 +198,17 @@ class ControlFlowGraph:
         param: Optional[str] = None,
         param_index: Optional[int] = None,
     ) -> CFGNode:
+        node_id = self._next_id
         node = CFGNode(
-            id=self._next_id,
-            kind=kind,
-            stmt=stmt,
-            line=line,
-            defs=defs,
-            uses=uses,
-            text=text,
-            goto_target=goto_target,
-            call_name=call_name,
-            param=param,
-            param_index=param_index,
+            node_id, kind, stmt, line, defs, uses, text,
+            goto_target, call_name, param, param_index,
         )
-        self._next_id += 1
-        self.nodes[node.id] = node
-        self._succ[node.id] = []
-        self._pred[node.id] = []
-        self._reach_cache.clear()
+        self._next_id = node_id + 1
+        self.nodes[node_id] = node
+        self._succ[node_id] = []
+        self._pred[node_id] = []
+        if self._reach_cache:
+            self._reach_cache.clear()
         return node
 
     def add_edge(self, src: int, dst: int, label: str) -> None:
@@ -225,7 +218,8 @@ class ControlFlowGraph:
             raise KeyError(f"edge ({src}, {dst}) references unknown node")
         self._succ[src].append((dst, label))
         self._pred[dst].append((src, label))
-        self._reach_cache.clear()
+        if self._reach_cache:
+            self._reach_cache.clear()
 
     def map_stmt(self, stmt: Stmt, node_id: int) -> None:
         self._stmt_node[id(stmt)] = node_id

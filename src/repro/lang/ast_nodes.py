@@ -302,6 +302,13 @@ class Program:
     body: List[Stmt] = field(default_factory=list)
     source: Optional[str] = None
     procs: List[ProcDecl] = field(default_factory=list)
+    #: Validation verdict and parameter signatures, memoized by
+    #: :mod:`repro.cfg.builder` on the first CFG build of any unit.
+    #: Programs are not mutated once built into a CFG (the generators
+    #: edit statement lists, then wrap them in a fresh Program).
+    cfg_front: Optional[Tuple[Optional[str], dict]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def statements(self) -> Iterator[Stmt]:
         """Pre-order lexical walk over the main unit's statements.

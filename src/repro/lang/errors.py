@@ -8,13 +8,15 @@ Errors carry a :class:`SourceLocation` when one is known and render a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 
-@dataclass(frozen=True, order=True)
-class SourceLocation:
-    """A 1-based (line, column) position in a source buffer."""
+class SourceLocation(NamedTuple):
+    """A 1-based (line, column) position in a source buffer.
+
+    A named tuple, not a dataclass: the lexer makes one per token, and a
+    tuple is built in C.  Ordering and hashing are the tuple's.
+    """
 
     line: int
     column: int

@@ -85,6 +85,16 @@ _BINARY_TIERS = [
     {TokenKind.STAR: "*", TokenKind.SLASH: "/", TokenKind.PERCENT: "%"},
 ]
 
+#: Binary operator text -> (precedence, operator text), the precedence
+#: being the operator's tier index in :data:`_BINARY_TIERS`.  Keyed by
+#: token text, which no identifier, literal or keyword can share with an
+#: operator: a str key hashes in C, a TokenKind key calls Enum.__hash__.
+_BINARY_OPS = {
+    text: (precedence, text)
+    for precedence, tier in enumerate(_BINARY_TIERS)
+    for kind, text in tier.items()
+}
+
 
 class Parser:
     """Parses a token stream into an SL AST."""
@@ -99,8 +109,10 @@ class Parser:
     # ------------------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        # No bounds clamp: the stream ends in EOF, _advance never moves
+        # past it, and a positive offset is only used after checking
+        # that the current token is not EOF.
+        return self._tokens[self._pos + offset]
 
     def _advance(self) -> Token:
         token = self._tokens[self._pos]
@@ -109,7 +121,7 @@ class Parser:
         return token
 
     def _check(self, kind: TokenKind) -> bool:
-        return self._peek().kind is kind
+        return self._tokens[self._pos].kind is kind
 
     def _match(self, kind: TokenKind) -> Optional[Token]:
         if self._check(kind):
@@ -117,7 +129,7 @@ class Parser:
         return None
 
     def _expect(self, kind: TokenKind, context: str) -> Token:
-        token = self._peek()
+        token = self._tokens[self._pos]
         if token.kind is not kind:
             raise ParseError(
                 f"expected {kind.value!r} {context}, found "
@@ -125,7 +137,9 @@ class Parser:
                 token.location,
                 self._source,
             )
-        return self._advance()
+        if kind is not TokenKind.EOF:
+            self._pos += 1
+        return token
 
     # ------------------------------------------------------------------
     # Statements.
@@ -211,6 +225,10 @@ class Parser:
     def _parse_unlabelled(self) -> Stmt:
         token = self._peek()
         kind = token.kind
+        if kind is TokenKind.IDENT:  # assignments are the commonest
+            stmt = self._parse_assign_core()
+            self._expect(TokenKind.SEMI, "after assignment")
+            return stmt
         if kind is TokenKind.IF:
             return self._parse_if()
         if kind is TokenKind.WHILE:
@@ -271,10 +289,6 @@ class Parser:
         if kind is TokenKind.SEMI:
             self._advance()
             return Skip(line=token.location.line)
-        if kind is TokenKind.IDENT:
-            stmt = self._parse_assign_core()
-            self._expect(TokenKind.SEMI, "after assignment")
-            return stmt
         raise ParseError(
             f"expected a statement, found {token.text or token.kind.value!r}",
             token.location,
@@ -423,36 +437,31 @@ class Parser:
     def parse_expr(self) -> Expr:
         return self._parse_binary(0)
 
-    def _parse_binary(self, tier: int) -> Expr:
-        if tier >= len(_BINARY_TIERS):
-            return self._parse_unary()
-        ops = _BINARY_TIERS[tier]
-        left = self._parse_binary(tier + 1)
-        while self._peek().kind in ops:
-            op_token = self._advance()
-            right = self._parse_binary(tier + 1)
-            left = Binary(op=ops[op_token.kind], left=left, right=right)
-        return left
+    def _parse_binary(self, min_precedence: int) -> Expr:
+        """An operand followed by binary operators of precedence at
+        least *min_precedence*.  Every tier is left-associative, so the
+        right operand only takes operators that bind tighter — the same
+        tree the one-function-per-tier grammar above builds, with one
+        call per operand instead of one per tier."""
+        left = self._parse_operand()
+        tokens = self._tokens
+        while True:
+            entry = _BINARY_OPS.get(tokens[self._pos].text)
+            if entry is None or entry[0] < min_precedence:
+                return left
+            precedence, op = entry
+            self._pos += 1
+            right = self._parse_binary(precedence + 1)
+            left = Binary(op=op, left=left, right=right)
 
-    def _parse_unary(self) -> Expr:
-        token = self._peek()
-        if token.kind is TokenKind.NOT:
-            self._advance()
-            return Unary(op="!", operand=self._parse_unary())
-        if token.kind is TokenKind.MINUS:
-            self._advance()
-            return Unary(op="-", operand=self._parse_unary())
-        return self._parse_primary()
-
-    def _parse_primary(self) -> Expr:
-        token = self._peek()
-        if token.kind is TokenKind.INT:
-            self._advance()
-            return Num(value=token.value)
-        if token.kind is TokenKind.IDENT:
-            self._advance()
-            if self._check(TokenKind.LPAREN):
-                self._advance()
+    def _parse_operand(self) -> Expr:
+        """The ``unary`` production, ``primary`` included."""
+        token = self._tokens[self._pos]
+        kind = token.kind
+        if kind is TokenKind.IDENT:
+            self._pos += 1
+            if self._tokens[self._pos].kind is TokenKind.LPAREN:
+                self._pos += 1
                 args: List[Expr] = []
                 if not self._check(TokenKind.RPAREN):
                     args.append(self.parse_expr())
@@ -461,13 +470,19 @@ class Parser:
                 self._expect(TokenKind.RPAREN, "to close call arguments")
                 return Call(name=token.text, args=tuple(args))
             return Var(name=token.text)
-        if token.kind is TokenKind.LPAREN:
-            self._advance()
+        if kind is TokenKind.INT:
+            self._pos += 1
+            return Num(value=token.value)
+        if kind is TokenKind.LPAREN:
+            self._pos += 1
             inner = self.parse_expr()
             self._expect(TokenKind.RPAREN, "to close parenthesised expression")
             return inner
+        if kind is TokenKind.NOT or kind is TokenKind.MINUS:
+            self._pos += 1
+            return Unary(op=token.text, operand=self._parse_operand())
         raise ParseError(
-            f"expected an expression, found {token.text or token.kind.value!r}",
+            f"expected an expression, found {token.text or kind.value!r}",
             token.location,
             self._source,
         )

@@ -59,10 +59,21 @@ _UNARY_PRECEDENCE = 7
 
 def pretty_expr(expr: Expr, parent_precedence: int = 0) -> str:
     """Render *expr* with a minimal set of parentheses."""
-    if isinstance(expr, Num):
-        return str(expr.value)
+    # Most frequent node kinds first.
+    if isinstance(expr, Binary):
+        precedence = _PRECEDENCE[expr.op]
+        left = pretty_expr(expr.left, precedence)
+        # Right operand gets precedence + 1: our binary operators are all
+        # left-associative, so an equal-precedence right child needs parens.
+        right = pretty_expr(expr.right, precedence + 1)
+        text = f"{left} {expr.op} {right}"
+        if parent_precedence > precedence:
+            return f"({text})"
+        return text
     if isinstance(expr, Var):
         return expr.name
+    if isinstance(expr, Num):
+        return str(expr.value)
     if isinstance(expr, Call):
         args = ", ".join(pretty_expr(arg) for arg in expr.args)
         return f"{expr.name}({args})"
@@ -73,16 +84,6 @@ def pretty_expr(expr: Expr, parent_precedence: int = 0) -> str:
         if expr.op == "-" and inner.startswith("-"):
             text = f"- {inner}"
         if parent_precedence > _UNARY_PRECEDENCE:
-            return f"({text})"
-        return text
-    if isinstance(expr, Binary):
-        precedence = _PRECEDENCE[expr.op]
-        left = pretty_expr(expr.left, precedence)
-        # Right operand gets precedence + 1: our binary operators are all
-        # left-associative, so an equal-precedence right child needs parens.
-        right = pretty_expr(expr.right, precedence + 1)
-        text = f"{left} {expr.op} {right}"
-        if parent_precedence > precedence:
             return f"({text})"
         return text
     raise TypeError(f"unknown expression node: {expr!r}")

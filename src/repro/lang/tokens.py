@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, NamedTuple
 
 from repro.lang.errors import SourceLocation
 
@@ -86,9 +85,8 @@ KEYWORDS: Dict[str, TokenKind] = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexeme.
+class Token(NamedTuple):
+    """A single lexeme (an immutable named tuple, cheap to build).
 
     Attributes
     ----------

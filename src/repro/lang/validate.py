@@ -144,8 +144,11 @@ def _check_unit(
 ) -> None:
     in_proc = f" in proc {unit_name!r}" if unit_name != MAIN_UNIT else ""
 
+    # One walk, four passes: the passes stay separate so diagnostics keep
+    # their historical emission order.
+    statements = list(_unit_statements(body))
     labels: Dict[str, Stmt] = {}
-    for stmt in _unit_statements(body):
+    for stmt in statements:
         if stmt.label is not None:
             if stmt.label in labels:
                 diagnostics.append(
@@ -162,7 +165,7 @@ def _check_unit(
             else:
                 labels[stmt.label] = stmt
 
-    for stmt in _unit_statements(body):
+    for stmt in statements:
         if isinstance(stmt, Goto) and stmt.target not in labels:
             diagnostics.append(
                 _error(
@@ -183,11 +186,11 @@ def _check_unit(
     for top in body:
         _check_jump_placement(top, diagnostics, in_loop=False, in_switch=False)
 
-    for stmt in _unit_statements(body):
+    for stmt in statements:
         if isinstance(stmt, Switch):
             _check_switch_arms(stmt, diagnostics)
 
-    for stmt in _unit_statements(body):
+    for stmt in statements:
         if not isinstance(stmt, CallStmt):
             continue
         callee = proc_table.get(stmt.name)

@@ -19,7 +19,10 @@ from repro.analysis.control_dependence import (
 from repro.analysis.dataflow import DataflowResult
 from repro.analysis.defuse import DataDependenceGraph, compute_data_dependence
 from repro.analysis.lexical import LexicalSuccessorTree, build_lst
-from repro.analysis.reaching_defs import compute_reaching_definitions
+from repro.analysis.reaching_defs import (
+    ReachingDefinitions,
+    compute_reaching_definitions,
+)
 from repro.analysis.postdominance import build_postdominator_tree
 from repro.analysis.tree import Tree
 from repro.cfg.augmented import build_augmented_cfg
@@ -97,15 +100,17 @@ class ProgramAnalysis:
     cdg: ControlDependenceGraph
     ddg: DataDependenceGraph
     pdg: ProgramDependenceGraph
-    reaching: Optional[DataflowResult] = field(default=None, repr=False)
+    reaching: Optional[Union[ReachingDefinitions, DataflowResult]] = field(
+        default=None, repr=False
+    )
     _augmented_cfg: Optional[ControlFlowGraph] = field(default=None, repr=False)
     _augmented_pdg: Optional[ProgramDependenceGraph] = field(
         default=None, repr=False
     )
-    #: (node, var) -> reaching definition sites, built on the first
-    #: reaching_defs_of call; criterion resolution hits that method per
-    #: query, so the old linear scan of reaching.in_[node] was O(defs)
-    #: per lookup in batch workloads.
+    #: (node, var) -> reaching definition sites of a set-based
+    #: ``reaching``, built on the first reaching_defs_of call; criterion
+    #: resolution hits that method per query, so the old linear scan of
+    #: reaching.in_[node] was O(defs) per lookup in batch workloads.
     _reaching_index: Optional[Dict[Tuple[int, str], List[int]]] = field(
         default=None, repr=False, compare=False
     )
@@ -196,15 +201,18 @@ class ProgramAnalysis:
         *node_id* (used to resolve criteria naming a variable the
         criterion statement does not itself use).
 
-        Answers come from a per-(node, var) index built on first call —
-        one pass over the fixed point instead of a linear scan of
-        ``reaching.in_[node_id]`` per query.
+        A mask-native result answers from its masks.  A set-based one
+        (``engine="sets"``) answers from a per-(node, var) index built on
+        first call — one pass over the fixed point instead of a linear
+        scan of ``reaching.in_[node_id]`` per query.
         """
+        if self.reaching is None:
+            with trace_span("reaching-defs"):
+                self.reaching = compute_reaching_definitions(self.cfg)
+        if isinstance(self.reaching, ReachingDefinitions):
+            return self.reaching.sites(node_id, var)
         index = self._reaching_index
         if index is None:
-            if self.reaching is None:
-                with trace_span("reaching-defs"):
-                    self.reaching = compute_reaching_definitions(self.cfg)
             built: Dict[Tuple[int, str], List[int]] = {}
             for entry_node, definitions in self.reaching.in_.items():
                 per_var: Dict[str, set] = {}

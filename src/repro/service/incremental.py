@@ -209,27 +209,29 @@ class SourceSpan:
     start_line: int  # 1-based
 
 
+#: One comment on a line: a closed ``/* */``, a ``//`` to the end, or an
+#: unclosed ``/*`` (group ``open``), which also runs to the end.
+_LINE_COMMENT = re.compile(r"/\*.*?\*/|//.*|(?P<open>/\*).*")
+
+
 def _strip_comments(line: str, in_block: bool) -> Tuple[str, bool]:
     """Code content of one line, tracking ``/* */`` state across lines."""
-    out: List[str] = []
-    i = 0
-    while i < len(line):
-        if in_block:
-            end = line.find("*/", i)
-            if end == -1:
-                return "".join(out), True
-            i = end + 2
-            in_block = False
-            continue
-        if line.startswith("//", i):
-            break
-        if line.startswith("/*", i):
-            in_block = True
-            i += 2
-            continue
-        out.append(line[i])
-        i += 1
-    return "".join(out), in_block
+    if in_block:
+        end = line.find("*/")
+        if end == -1:
+            return "", True
+        line = line[end + 2 :]
+    if "/" not in line:
+        return line, False
+    code: List[str] = []
+    position = 0
+    opened = False
+    for match in _LINE_COMMENT.finditer(line):
+        code.append(line[position : match.start()])
+        position = match.end()
+        opened = match.group("open") is not None
+    code.append(line[position:])
+    return "".join(code), opened
 
 
 def split_source(source: str) -> Optional[List[SourceSpan]]:

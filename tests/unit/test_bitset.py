@@ -126,9 +126,7 @@ class TestGenKillSolver:
         first, second = order[1], order[2]
         gen = {entry: universe.bit("d1")}
         kill = {first: universe.bit("d1")}
-        before, after = solve_gen_kill_bitset(
-            cfg, universe, gen, kill, forward=True
-        )
+        before, after = solve_gen_kill_bitset(cfg, gen, kill, forward=True)
         assert after[entry] == universe.bit("d1")
         assert after[first] == 0
         assert before[second] in (0, universe.bit("d1"))

@@ -283,3 +283,59 @@ class TestUnreachable:
     def test_live_program_has_none(self):
         cfg = cfg_of("if (c) return;\nx = 1;")
         assert cfg.unreachable_statements() == []
+
+
+class TestValidateOnce:
+    """Validation and parameter signatures are whole-program answers:
+    building every unit's CFG computes them once per Program."""
+
+    NINE_PROCS = "\n".join(
+        [f"call p{index}(x);" for index in range(9)]
+        + ["write(x);"]
+        + [f"proc p{index}(a) {{ a = a + {index}; }}" for index in range(9)]
+    )
+
+    @staticmethod
+    def _count(monkeypatch):
+        import repro.cfg.builder as builder
+        import repro.sdg.params as params
+
+        calls = {"check_program": 0, "signatures": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(builder, "check_program")
+        counting(params, "signatures")
+        return calls
+
+    def test_every_unit_validates_once(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        program = parse_program(self.NINE_PROCS)
+        assert len(program.procs) == 9
+        for unit in [None] + [proc.name for proc in program.procs]:
+            build_cfg(program, unit=unit)
+        assert calls == {"check_program": 1, "signatures": 1}
+
+    def test_invalid_program_fails_every_unit_identically(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        source = self.NINE_PROCS + "\nproc q(a) { goto nowhere; }"
+        program = parse_program(source)
+        messages = set()
+        for unit in [None] + [proc.name for proc in program.procs]:
+            with pytest.raises(ValidationError) as info:
+                build_cfg(program, unit=unit)
+            messages.add(str(info.value))
+        fresh = parse_program(source)
+        with pytest.raises(ValidationError) as info:
+            build_cfg(fresh, unit="p3")
+        assert messages == {str(info.value)}
+        assert "goto to undefined label 'nowhere'" in str(info.value)
+        assert calls["check_program"] == 2
+        assert calls["signatures"] == 0

@@ -160,3 +160,38 @@ class TestIterator:
         tokens = list(lexer.tokens())
         assert tokens[-1].kind is TokenKind.EOF
         assert len(tokens) == 4
+
+
+class TestUnicode:
+    def test_non_decimal_digit_is_a_lex_error(self):
+        # `str.isdigit` accepts `²` but `int` rejects it; it must surface
+        # as a located LexError, not a bare ValueError.
+        with pytest.raises(LexError) as info:
+            tokenize("x = ²;")
+        assert info.value.message == "unexpected character '²'"
+        assert (info.value.location.line, info.value.location.column) == (1, 5)
+
+    def test_non_decimal_digit_inside_a_number(self):
+        with pytest.raises(LexError) as info:
+            tokenize("x = 1²;")
+        assert (info.value.location.line, info.value.location.column) == (1, 6)
+
+    def test_non_ascii_identifier(self):
+        token = tokenize("é = 1;")[0]
+        assert token.kind is TokenKind.IDENT
+        assert token.text == "é"
+
+    def test_identifier_may_continue_with_any_digit(self):
+        assert tokenize("x² = 1;")[0].text == "x²"
+
+    def test_decimal_digits_of_other_scripts(self):
+        token = tokenize("x = ٤٢;")[2]
+        assert token.kind is TokenKind.INT
+        assert (token.text, token.value) == ("٤٢", 42)
+
+
+class TestRecords:
+    def test_tokens_and_locations_are_tuples(self):
+        token = tokenize("x")[0]
+        assert token == (TokenKind.IDENT, "x", (1, 1), 0)
+        assert token.location < tokenize("\nx")[0].location

@@ -140,6 +140,23 @@ class TestErrorMapping:
         assert payload["code"] == "parse-error"
         assert payload["location"]["line"] == 1
 
+    def test_non_decimal_digit_is_a_lex_error(self):
+        from repro.service.engine import SlicingEngine
+
+        engine = SlicingEngine()
+        try:
+            envelope = engine.handle_payload(
+                {"version": 1, "op": "slice", "source": "x = ²;",
+                 "line": 1, "var": "x"}
+            )
+        finally:
+            engine.close()
+        assert envelope["ok"] is False
+        error = envelope["error"]
+        assert error["code"] == "lex-error"
+        assert error["location"] == {"line": 1, "column": 5}
+        assert "unexpected character '²'" in error["message"]
+
     def test_value_error_is_bad_request(self):
         assert error_payload(ValueError("unknown"))["code"] == "bad-request"
 
