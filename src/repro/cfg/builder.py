@@ -67,6 +67,8 @@ from repro.lang.ast_nodes import (
 from repro.lang.errors import ValidationError
 from repro.lang.pretty import pretty_expr
 from repro.lang.validate import check_program
+from repro.sdg import params
+from repro.sdg.callgraph import CallGraph, build_call_graph
 
 #: Pseudo-variable modelling the input-stream cursor.
 INPUT_CURSOR = "$in"
@@ -98,29 +100,51 @@ def _expr_uses(expr: Optional[Expr], chain_io: bool) -> FrozenSet[str]:
     return frozenset(uses)
 
 
-def _checked_signatures(program: Program) -> Dict[str, object]:
-    """Validate *program* and return its parameter signatures, computing
-    both once per Program: the SDG builder builds one CFG per unit of the
-    same program, and each build needs the same whole-program answers.
-    An invalid program raises the same :class:`ValidationError` text on
-    every build."""
-    if program.cfg_front is None:
+def program_front(
+    program: Program, interface: bool = True
+) -> Tuple[Optional[str], Optional[tuple]]:
+    """``(validation error or None, (call graph, parameter signatures))``
+    of *program*, each part computed at most once per Program.
+
+    Every unit's CFG build, the unit fingerprints and the SDG assembly
+    need the same whole-program answers, so they share this memo.  With
+    ``interface=False`` the second part stays ``None`` until something
+    asks for it: the CFG build of a single-unit or invalid program never
+    reads the call graph.
+    """
+    front = program.cfg_front
+    if front is None:
         diagnostics = check_program(program)
+        error = None
         if diagnostics:
             error = "cannot build CFG for an invalid program:\n  " + "\n  ".join(
                 diagnostics
             )
-            program.cfg_front = (error, {})
-        elif program.procs:
-            from repro.sdg.params import signatures as param_signatures
+        front = program.cfg_front = (error, None)
+    if interface and front[1] is None:
+        graph = build_call_graph(program)
+        front = program.cfg_front = (
+            front[0], (graph, params.signatures(program, graph))
+        )
+    return front
 
-            program.cfg_front = (None, param_signatures(program))
-        else:
-            program.cfg_front = (None, {})
-    error, signatures = program.cfg_front
+
+def call_interface(
+    program: Program,
+) -> Tuple[CallGraph, Dict[str, params.ParamSignature]]:
+    """The call graph and parameter signatures of *program*, built once
+    per Program (see :func:`program_front`)."""
+    return program_front(program)[1]
+
+
+def _checked_signatures(program: Program) -> Dict[str, params.ParamSignature]:
+    """Validate *program* and return its parameter signatures (empty for
+    a single-unit program).  An invalid program raises the same
+    :class:`ValidationError` text on every build."""
+    error, _ = program_front(program, interface=False)
     if error is not None:
         raise ValidationError(error)
-    return signatures
+    return call_interface(program)[1] if program.procs else {}
 
 
 class CFGBuilder:

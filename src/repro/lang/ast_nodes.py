@@ -302,11 +302,12 @@ class Program:
     body: List[Stmt] = field(default_factory=list)
     source: Optional[str] = None
     procs: List[ProcDecl] = field(default_factory=list)
-    #: Validation verdict and parameter signatures, memoized by
-    #: :mod:`repro.cfg.builder` on the first CFG build of any unit.
+    #: Validation verdict and ``(call graph, parameter signatures)``,
+    #: memoized by :func:`repro.cfg.builder.program_front` on first use
+    #: (the CFG build of any unit, unit fingerprinting, SDG assembly).
     #: Programs are not mutated once built into a CFG (the generators
     #: edit statement lists, then wrap them in a fresh Program).
-    cfg_front: Optional[Tuple[Optional[str], dict]] = field(
+    cfg_front: Optional[Tuple[Optional[str], Optional[tuple]]] = field(
         default=None, init=False, repr=False, compare=False
     )
 

@@ -138,6 +138,39 @@ class ProgramAnalysis:
     _goto_sites: Optional[Tuple[Tuple[int, str, int], ...]] = field(
         default=None, repr=False, compare=False
     )
+    #: The program's system dependence graph, memoized by
+    #: :func:`repro.sdg.builder.sdg_for_analysis`.
+    _sdg: Optional[object] = field(default=None, repr=False, compare=False)
+    #: Unit name -> content fingerprint, and the unit cache the analysis
+    #: was salvaged through; both set by the incremental front end
+    #: (repro.service.incremental) and ``None`` on a cold analysis.
+    _unit_digests: Optional[Dict[str, str]] = field(
+        default=None, repr=False, compare=False
+    )
+    _unit_cache: Optional[object] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def rebind(self, program: Program) -> "ProgramAnalysis":
+        """A fresh analysis carrying *program* that shares this one's
+        immutable graphs and derived indexes; its per-program slots
+        (slice memo, content key, SDG, unit bookkeeping) start empty, so
+        nothing stale can be served for a different program."""
+        return ProgramAnalysis(
+            program=program,
+            cfg=self.cfg,
+            pdt=self.pdt,
+            lst=self.lst,
+            cdg=self.cdg,
+            ddg=self.ddg,
+            pdg=self.pdg,
+            reaching=self.reaching,
+            _augmented_cfg=self._augmented_cfg,
+            _augmented_pdg=self._augmented_pdg,
+            _reaching_index=self._reaching_index,
+            _line_index=self._line_index,
+            _goto_sites=self._goto_sites,
+        )
 
     @property
     def augmented_cfg(self) -> ControlFlowGraph:

@@ -28,7 +28,7 @@ rule — because an index built at the deadline's edge helps nobody.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple, TypeVar
 
 from repro.obs.tracer import trace_span
 from repro.service.resilience import current_budget
@@ -42,6 +42,9 @@ _enabled = True
 #: the build would eat the remaining deadline that a plain BFS answer
 #: could have fit into.
 MIN_BUILD_HEADROOM_SECONDS = 0.05
+
+#: A condensation node: a PDG node id, or an SDG unit name.
+N = TypeVar("N")
 
 
 def closure_index_enabled() -> bool:
@@ -130,32 +133,35 @@ class ClosureIndex:
 
 
 def condense(
-    node_ids: Sequence[int],
-    suppliers_of: Callable[[int], Iterable[int]],
-) -> Tuple[Dict[int, int], List[Tuple[int, ...]]]:
+    node_ids: Sequence[N],
+    suppliers_of: Callable[[N], Iterable[N]],
+    phase: str = "closure-index",
+) -> Tuple[Dict[N, int], List[Tuple[N, ...]]]:
     """SCC-condense a backward dependence adjacency (iterative Tarjan).
 
     Returns ``(comp_of, comp_nodes)`` where components appear in
     *suppliers-first* emission order: Tarjan finalizes an SCC only after
     every SCC it can reach — here, its transitive suppliers — so a single
     forward sweep over ``comp_nodes`` sees every supplier component
-    before its consumers.  Shared by the per-PDG index below and the
-    whole-SDG ascend/descend indexes in ``sdg/closure.py``.
+    before its consumers.  Shared by the per-PDG index below, the
+    whole-SDG ascend/descend indexes in ``sdg/closure.py``, and the SDG
+    builder's callees-first summary order (units as nodes, callees as
+    suppliers).  *phase* names the budget phase a deadline abort reports.
     """
     budget = current_budget()
-    index_of: Dict[int, int] = {}
-    lowlink: Dict[int, int] = {}
-    on_stack: Dict[int, bool] = {}
-    comp_of: Dict[int, int] = {}
-    comp_nodes: List[Tuple[int, ...]] = []
-    tarjan_stack: List[int] = []
+    index_of: Dict[N, int] = {}
+    lowlink: Dict[N, int] = {}
+    on_stack: Dict[N, bool] = {}
+    comp_of: Dict[N, int] = {}
+    comp_nodes: List[Tuple[N, ...]] = []
+    tarjan_stack: List[N] = []
     counter = 0
 
     for root in sorted(node_ids):
         if root in index_of:
             continue
         # Iterative Tarjan: (node, iterator over its suppliers).
-        work: List[Tuple[int, Iterator[int]]] = []
+        work: List[Tuple[N, Iterator[N]]] = []
         index_of[root] = lowlink[root] = counter
         counter += 1
         tarjan_stack.append(root)
@@ -163,7 +169,7 @@ def condense(
         work.append((root, iter(suppliers_of(root))))
         while work:
             if budget is not None:
-                budget.tick("closure-index")
+                budget.tick(phase)
             node, children = work[-1]
             advanced = False
             for child in children:
@@ -186,7 +192,7 @@ def condense(
                 if lowlink[node] < lowlink[parent]:
                     lowlink[parent] = lowlink[node]
             if lowlink[node] == index_of[node]:
-                members: List[int] = []
+                members: List[N] = []
                 while True:
                     member = tarjan_stack.pop()
                     on_stack[member] = False

@@ -80,9 +80,8 @@ class ProgramDependenceGraph:
         return iter(sorted(self._edge_set))
 
     def has_edge(self, src: int, dst: int, kind: str, detail: str = "") -> bool:
-        """Exact-edge membership (the incremental SDG assembly uses it
-        to keep summary-edge counts dedupe-exact across fixpoint
-        rounds)."""
+        """Exact-edge membership (the SDG builder uses it to keep
+        summary-edge counts dedupe-exact across fixpoint rounds)."""
         return (src, dst, kind, detail) in self._edge_set
 
     def __len__(self) -> int:

@@ -11,10 +11,12 @@ Modules
     the implicit ``$in`` input cursor) and per-call-site actuals.
 ``builder``
     Per-procedure analyses stitched into an :class:`SDGAnalysis` with
-    globally-numbered vertices and interprocedural edges.
-``summary``
-    Horwitz–Reps–Binkley summary edges (actual-in → actual-out) by
-    fixed point over the call graph.
+    globally-numbered vertices and interprocedural edges, and the
+    Horwitz–Reps–Binkley summary edges (actual-in → actual-out),
+    computed callees-first over the call graph's SCCs.  The one SDG
+    builder, cold or salvaging through a unit cache.
+``closure``
+    The whole-SDG closure index that amortizes multi-criterion slicing.
 ``slicer``
     The classic two-pass backward interprocedural slicer, with
     Agrawal's Fig. 7 jump correction applied per procedure.

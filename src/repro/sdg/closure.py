@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import threading
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.bitset import iter_bits, popcount as _popcount
@@ -73,8 +72,6 @@ from repro.service.resilience import current_budget
 #: benchmark's reference configuration is per-unit index on, SDG index
 #: off — exactly the pre-index slicer).
 _forced: Optional[bool] = None
-
-_create_lock = threading.Lock()
 
 
 def sdg_index_enabled() -> bool:
@@ -343,17 +340,6 @@ def build_sdg_closure_index(sdg: SDGAnalysis) -> SDGClosureIndex:
 # ---------------------------------------------------------------------------
 
 
-def _build_lock(sdg: SDGAnalysis) -> threading.Lock:
-    lock = getattr(sdg, "_closure_index_lock", None)
-    if lock is None:
-        with _create_lock:
-            lock = getattr(sdg, "_closure_index_lock", None)
-            if lock is None:
-                lock = threading.Lock()
-                sdg._closure_index_lock = lock
-    return lock
-
-
 def _salvage_key(analysis, sdg: SDGAnalysis) -> Tuple[Optional[object], Optional[str]]:
     """(unit cache, cache key) for whole-index salvage, or (None, None).
 
@@ -366,20 +352,16 @@ def _salvage_key(analysis, sdg: SDGAnalysis) -> Tuple[Optional[object], Optional
     """
     from repro.service.incremental import incremental_enabled, units_digest
 
-    if analysis is None or not incremental_enabled():
+    if analysis is None or analysis._unit_cache is None or not incremental_enabled():
         return None, None
-    cache = getattr(analysis, "_unit_cache", None)
-    digests = getattr(analysis, "_unit_digests", None)
-    pairs = getattr(sdg, "_unit_pairs", None)
-    if cache is None or digests is None or pairs is None:
-        return None, None
+    pairs = sdg.unit_pairs
     digest = hashlib.sha256()
     digest.update(b"sdg-index|v1|")
-    digest.update(units_digest(digests).encode("utf-8"))
+    digest.update(units_digest(analysis._unit_digests).encode("utf-8"))
     for unit in sorted(pairs):
         joined = ",".join(f"{i}:{j}" for i, j in sorted(pairs[unit]))
         digest.update(f"|{unit}=[{joined}]".encode("utf-8"))
-    return cache, digest.hexdigest()
+    return analysis._unit_cache, digest.hexdigest()
 
 
 def ensure_sdg_index(
@@ -397,14 +379,14 @@ def ensure_sdg_index(
     if not sdg_index_enabled():
         return None, events
     signature = _edge_signature(sdg)
-    index = getattr(sdg, "_closure_index", None)
+    index = sdg._closure_index
     if index is not None and index.signature == signature:
         return index, events
     if not index_build_allowed():
         events["pressure_skips"] = 1
         return None, events
-    with _build_lock(sdg):
-        index = getattr(sdg, "_closure_index", None)
+    with sdg._closure_index_lock:
+        index = sdg._closure_index
         if index is not None and index.signature == signature:
             return index, events
         cache, key = _salvage_key(analysis, sdg)

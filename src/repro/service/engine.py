@@ -401,7 +401,7 @@ class SlicingEngine:
             "cfg_nodes": len(analysis.cfg.nodes),
             "payload": slice_result_payload(result),
         }
-        digests = getattr(analysis, "_unit_digests", None)
+        digests = analysis._unit_digests
         if digests is not None:
             wrapper["units"] = dict(digests)
         # The exact-source key is written first: fault injection arms

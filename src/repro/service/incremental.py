@@ -33,20 +33,14 @@ can leak across programs), and the PDG's condensed closure index —
 built lazily on the shared graph — survives the edit with it.
 
 Interprocedural programs additionally reuse the *stitched* per-unit
-slicing graphs.  Summary edges at a call site depend only on the
-caller's own content and the callee's formal-in→formal-out dependence
-pairs, so stitched graphs are cached under an *assumption key* =
-(unit fingerprint, every direct callee's pairs).  Assembly walks the
-call graph's SCC condensation callees-first:
-
-* a non-recursive unit whose assumption key hits reuses the stitched
-  local graph (summary edges and closure index included) verbatim;
-* a recursive SCC is always rebuilt by the original worklist from empty
-  seeds — pairs can *shrink* under an edit, and seeding the fixpoint
-  with stale pairs would overshoot the least fixed point.  Callees-first
-  evaluation with empty seeds reproduces exactly the least fixpoint the
-  monolithic worklist computes, so summary-edge sets (and the
-  ``summary_edges`` count the protocol exposes) are identical.
+slicing graphs.  The SDG builder (:func:`repro.sdg.builder.build_sdg`)
+reads the unit cache and fingerprints this module attaches to an
+analysis: summary edges at a call site depend only on the caller's own
+content and the callee's formal-in→formal-out dependence pairs, so a
+non-recursive unit's stitched graph is cached under (unit fingerprint,
+every direct callee's pairs); recursive SCCs are always rebuilt from
+empty pairs.  The graph, summary edges included, is the one a cold
+build produces.
 
 Two further salvage tiers close the gap between "rebuild one unit" and
 "answer without recomputing":
@@ -80,7 +74,9 @@ memo/store tiers.
 The process-wide knob (CLI ``--incremental on|off``) mirrors
 :mod:`repro.pdg.closure`: incremental reuse is pure acceleration — the
 differential property suite asserts node-for-node identity with a cold
-rebuild — so it defaults on.
+rebuild — so it defaults on.  Off, the analysis cache attaches no unit
+cache, so the SDG builder runs cold, and the index and slice salvage
+tiers stand aside.
 """
 
 from __future__ import annotations
@@ -91,18 +87,17 @@ import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
+from repro.cfg.builder import call_interface
 from repro.lang.ast_nodes import MAIN_UNIT, ProcDecl, Program, Stmt, walk_statements
 from repro.lang.errors import SlangError
 from repro.lang.parser import parse_program
 from repro.lang.pretty import pretty
 from repro.obs.tracer import trace_span
 from repro.pdg.builder import ProgramAnalysis, analyze_program
-from repro.pdg.graph import ProgramDependenceGraph
-from repro.sdg.callgraph import CallGraph, build_call_graph
-from repro.sdg.params import ParamSignature, signatures
-from repro.service.resilience import budget_check_nodes, budget_round, budget_tick
+from repro.sdg.builder import StitchedUnit, build_sdg
+from repro.sdg.params import ParamSignature
 
 #: Fingerprint schema version; bump to invalidate every cached unit.
 FINGERPRINT_VERSION = "v1"
@@ -146,7 +141,6 @@ def unit_fingerprints(
     fuse_cond_goto: bool = True,
     chain_io: bool = True,
     dominator_algorithm: str = "iterative",
-    graph: Optional[CallGraph] = None,
 ) -> Dict[str, str]:
     """Per-unit content addresses: unit name → hex digest.
 
@@ -154,9 +148,7 @@ def unit_fingerprints(
     (CFG/PDT/LST/CDG/DDG/PDG, node ids, absolute lines) under the same
     options — the invariant every salvage below rests on.
     """
-    if graph is None:
-        graph = build_call_graph(program)
-    sigs = signatures(program, graph)
+    graph, sigs = call_interface(program)
     header = (
         f"{FINGERPRINT_VERSION}|{int(fuse_cond_goto)}|{int(chain_io)}|"
         f"{dominator_algorithm}|"
@@ -402,26 +394,12 @@ class IncrementalStats:
 
 
 @dataclass
-class StitchedUnit:
-    """One unit's slicing graph under one callee-pairs assumption.
-
-    ``local`` is shared across programs and **must not be mutated** —
-    the SDG slicer only reads it (and lazily builds its closure index,
-    which is idempotent); ``compute_summary_edges`` never runs on it.
-    """
-
-    local: ProgramDependenceGraph
-    pairs: FrozenSet[Tuple[int, int]]
-    summary_count: int
-
-
-@dataclass
 class UnitRecord:
     """Everything cached for one unit fingerprint."""
 
     analysis: ProgramAnalysis
     #: assumption key → stitched graph (bounded LRU, newest last).
-    stitched: "OrderedDict[str, StitchedUnit]" = field(
+    stitched: "OrderedDict[Tuple, StitchedUnit]" = field(
         default_factory=OrderedDict
     )
 
@@ -503,7 +481,7 @@ class UnitCache:
             return record
 
     def get_stitched(
-        self, unit_key: str, assume_key: str
+        self, unit_key: str, assume_key: Tuple
     ) -> Optional[StitchedUnit]:
         with self._lock:
             record = self._records.get(unit_key)
@@ -515,7 +493,7 @@ class UnitCache:
             return stitched
 
     def put_stitched(
-        self, unit_key: str, assume_key: str, stitched: StitchedUnit
+        self, unit_key: str, assume_key: Tuple, stitched: StitchedUnit
     ) -> StitchedUnit:
         with self._lock:
             record = self._records.get(unit_key)
@@ -613,33 +591,6 @@ class UnitCache:
 # ---------------------------------------------------------------------------
 
 
-def _shell(cached: ProgramAnalysis, program: Program) -> ProgramAnalysis:
-    """A fresh :class:`ProgramAnalysis` sharing *cached*'s immutable
-    artefacts, carrying the **new** program object.
-
-    The heavy graphs (CFG, trees, dependence graphs, reaching fixpoint)
-    and the derived pure-function-of-CFG indexes are shared; the
-    per-program mutable slots — slice memo, content key, SDG — start
-    empty, so a stale memo entry or a stale SDG can never be served for
-    a different program.
-    """
-    return ProgramAnalysis(
-        program=program,
-        cfg=cached.cfg,
-        pdt=cached.pdt,
-        lst=cached.lst,
-        cdg=cached.cdg,
-        ddg=cached.ddg,
-        pdg=cached.pdg,
-        reaching=cached.reaching,
-        _augmented_cfg=cached._augmented_cfg,
-        _augmented_pdg=cached._augmented_pdg,
-        _reaching_index=cached._reaching_index,
-        _line_index=cached._line_index,
-        _goto_sites=cached._goto_sites,
-    )
-
-
 def incremental_analyze(
     source: str,
     fuse_cond_goto: bool = True,
@@ -651,27 +602,26 @@ def incremental_analyze(
     fingerprint matches a previously analysed unit.
 
     Always attaches ``_unit_digests`` / ``_unit_cache`` to the returned
-    analysis so the SDG builder and the durable-store read path can
-    reuse the fingerprints without re-deriving them.
+    analysis: the SDG builder salvages procedure units and stitched
+    graphs through them, and the durable-store read path reuses the
+    fingerprints without re-deriving them.
     """
     if cache is None:
         cache = UnitCache()
     with trace_span("parse", bytes=len(source), incremental=True):
         program = incremental_parse(source, cache)
-    graph = build_call_graph(program)
-    with trace_span("unit-fingerprints", units=len(graph.units)):
+    with trace_span("unit-fingerprints", units=len(program.procs) + 1):
         digests = unit_fingerprints(
             program,
             fuse_cond_goto=fuse_cond_goto,
             chain_io=chain_io,
             dominator_algorithm=dominator_algorithm,
-            graph=graph,
         )
     cache.stats.record("programs")
     record = cache.get_unit(digests[MAIN_UNIT])
     if record is not None:
         cache.stats.record("units_reused")
-        analysis = _shell(record.analysis, program)
+        analysis = record.analysis.rebind(program)
     else:
         cache.stats.record("units_built")
         analysis = analyze_program(
@@ -686,315 +636,10 @@ def incremental_analyze(
     return analysis
 
 
-# ---------------------------------------------------------------------------
-# Incremental SDG assembly
-# ---------------------------------------------------------------------------
-
-
-def _pairs_assumption_key(
-    unit_key: str, callee_pairs: Dict[str, FrozenSet[Tuple[int, int]]]
-) -> str:
-    digest = hashlib.sha256()
-    digest.update(f"assume|{FINGERPRINT_VERSION}|{unit_key}".encode("utf-8"))
-    for callee in sorted(callee_pairs):
-        pairs = ",".join(
-            f"{i}:{j}" for i, j in sorted(callee_pairs[callee])
-        )
-        digest.update(f"|{callee}=[{pairs}]".encode("utf-8"))
-    return digest.hexdigest()
-
-
-def _local_pairs(
-    local: ProgramDependenceGraph,
-    formal_in: Dict[int, int],
-    formal_out: Dict[int, int],
-) -> FrozenSet[Tuple[int, int]]:
-    """``formal_dependences`` over an explicit local graph (the summary
-    module's version reads a whole SDG; assembly has the pieces)."""
-    pairs: Set[Tuple[int, int]] = set()
-    for j, f_out in formal_out.items():
-        closure = local.backward_closure([f_out])
-        for i, f_in in formal_in.items():
-            if f_in in closure:
-                pairs.add((i, j))
-    return frozenset(pairs)
-
-
-def _insert_summary_edges(local, info, site_pairs) -> int:
-    """Add summary edges for every call site of *info*'s unit from the
-    given per-callee pairs; returns the number of edges added (the
-    ``add_edge`` dedupe makes re-insertion idempotent, and distinct
-    ``(i, j)`` pairs map to distinct ``(actual-in, actual-out)`` node
-    pairs per site, so the count matches the monolithic fixpoint's)."""
-    added = 0
-    for site in info.sites:
-        pairs = site_pairs.get(site.callee)
-        if not pairs:
-            continue
-        for i, j in pairs:
-            ai = site.actual_in.get(i)
-            ao = site.actual_out.get(j)
-            if ai is None or ao is None:
-                continue
-            if local.has_edge(ai, ao, "summary", site.callee):
-                continue
-            local.add_edge(ai, ao, "summary", site.callee)
-            added += 1
-    return added
-
-
-def _scc_order(graph: CallGraph) -> List[List[str]]:
-    """SCCs of the call graph in callees-first (reverse topological)
-    order, main's SCC last (nothing calls main).  Iterative Tarjan —
-    generated call chains are shallow, but no recursion-limit risk."""
-    index: Dict[str, int] = {}
-    low: Dict[str, int] = {}
-    on_stack: Set[str] = set()
-    stack: List[str] = []
-    sccs: List[List[str]] = []
-    counter = [0]
-
-    for root in graph.units:
-        if root in index:
-            continue
-        work: List[Tuple[str, Iterator[str]]] = [
-            (root, iter(sorted(graph.callees.get(root, ()))))
-        ]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, children = work[-1]
-            advanced = False
-            for child in children:
-                if child not in index:
-                    index[child] = low[child] = counter[0]
-                    counter[0] += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append(
-                        (child, iter(sorted(graph.callees.get(child, ()))))
-                    )
-                    advanced = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component: List[str] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                sccs.append(sorted(component))
-    return sccs
-
-
-def build_sdg_incremental(
-    program: Program,
-    main_analysis: ProgramAnalysis,
-    cache: UnitCache,
-    fuse_cond_goto: bool = True,
-    chain_io: bool = True,
-    dominator_algorithm: str = "iterative",
-):
-    """Assemble an :class:`~repro.sdg.builder.SDGAnalysis`, reusing
-    cached unit analyses and stitched local graphs.
-
-    Produces the same graph ``build_sdg`` + ``compute_summary_edges``
-    would — same per-unit node ids, same summary-edge sets, same
-    ``summary_edges`` count (the least fixpoint is unique; see the
-    module docstring for why recursive SCCs are rebuilt from empty
-    seeds) — with ``summary_iterations`` counting SCC evaluations
-    instead of worklist pops.
-    """
-    from repro.sdg.builder import (
-        ProcedureInfo,
-        SDGAnalysis,
-        _local_graph,
-        _site_nodes,
-    )
-
-    with trace_span("sdg-build", incremental=True) as span:
-        graph = build_call_graph(program)
-        sigs = signatures(program, graph)
-        digests = getattr(main_analysis, "_unit_digests", None)
-        if digests is None:
-            digests = unit_fingerprints(
-                program,
-                fuse_cond_goto=fuse_cond_goto,
-                chain_io=chain_io,
-                dominator_algorithm=dominator_algorithm,
-                graph=graph,
-            )
-
-        procs: Dict[str, ProcedureInfo] = {}
-        sites_of: Dict[str, List] = {unit: [] for unit in graph.units}
-        offset = 0
-        for unit in graph.units:
-            with trace_span("sdg-unit", unit=unit):
-                if unit == MAIN_UNIT:
-                    analysis = main_analysis
-                else:
-                    record = cache.get_unit(digests[unit])
-                    if record is not None:
-                        cache.stats.record("units_reused")
-                        proc = program.proc_named(unit)
-                        analysis = _shell(
-                            record.analysis,
-                            Program(
-                                body=proc.body,
-                                source=program.source,
-                                procs=program.procs,
-                            ),
-                        )
-                    else:
-                        cache.stats.record("units_built")
-                        analysis = analyze_program(
-                            program,
-                            fuse_cond_goto=fuse_cond_goto,
-                            chain_io=chain_io,
-                            dominator_algorithm=dominator_algorithm,
-                            unit=unit,
-                        )
-                        cache.put_unit(digests[unit], analysis)
-                cfg = analysis.cfg
-                info = ProcedureInfo(
-                    name=unit,
-                    analysis=analysis,
-                    local=None,  # assigned below, per SCC
-                    offset=offset,
-                )
-                for node_id in cfg.formal_ins:
-                    info.formal_in[cfg.nodes[node_id].param_index] = node_id
-                for node_id in cfg.formal_outs:
-                    info.formal_out[cfg.nodes[node_id].param_index] = node_id
-                info.sites = _site_nodes(analysis, unit)
-                for site in info.sites:
-                    sites_of[site.callee].append(site)
-                procs[unit] = info
-                offset += info.size
-                budget_check_nodes(offset, "sdg-build")
-
-        # Summary edges, callees-first over the SCC condensation.
-        pairs: Dict[str, FrozenSet[Tuple[int, int]]] = {}
-        total_summary = 0
-        iterations = 0
-        with trace_span("sdg-summary", incremental=True) as summary_span:
-            for component in _scc_order(graph):
-                iterations += 1
-                budget_round("sdg-summary")
-                budget_tick("sdg-summary")
-                recursive = len(component) > 1 or (
-                    component[0] in graph.recursive
-                )
-                if not recursive:
-                    unit = component[0]
-                    info = procs[unit]
-                    callee_pairs = {
-                        callee: pairs[callee]
-                        for callee in graph.callees.get(unit, ())
-                    }
-                    assume_key = _pairs_assumption_key(
-                        digests[unit], callee_pairs
-                    )
-                    stitched = cache.get_stitched(digests[unit], assume_key)
-                    if stitched is None:
-                        cache.stats.record("stitched_built")
-                        local = _local_graph(info.analysis)
-                        count = _insert_summary_edges(
-                            local, info, callee_pairs
-                        )
-                        unit_pairs = (
-                            frozenset()
-                            if unit == MAIN_UNIT
-                            else _local_pairs(
-                                local, info.formal_in, info.formal_out
-                            )
-                        )
-                        stitched = cache.put_stitched(
-                            digests[unit],
-                            assume_key,
-                            StitchedUnit(
-                                local=local,
-                                pairs=unit_pairs,
-                                summary_count=count,
-                            ),
-                        )
-                    else:
-                        cache.stats.record("stitched_reused")
-                    info.local = stitched.local
-                    pairs[unit] = stitched.pairs
-                    total_summary += stitched.summary_count
-                    continue
-
-                # Recursive SCC: rebuild from empty seeds (stale pairs
-                # must never seed the fixpoint — they can shrink).
-                cache.stats.record("recursive_rebuilt", len(component))
-                members = set(component)
-                for unit in component:
-                    info = procs[unit]
-                    info.local = _local_graph(info.analysis)
-                    external = {
-                        callee: pairs[callee]
-                        for callee in graph.callees.get(unit, ())
-                        if callee not in members
-                    }
-                    total_summary += _insert_summary_edges(
-                        info.local, info, external
-                    )
-                changed = True
-                while changed:
-                    changed = False
-                    budget_round("sdg-summary")
-                    budget_tick("sdg-summary")
-                    for unit in component:
-                        info = procs[unit]
-                        unit_pairs = _local_pairs(
-                            info.local, info.formal_in, info.formal_out
-                        )
-                        if unit_pairs == pairs.get(unit):
-                            continue
-                        pairs[unit] = unit_pairs
-                        internal = {unit: unit_pairs}
-                        for site in sites_of[unit]:
-                            if site.caller not in members:
-                                continue
-                            total_summary += _insert_summary_edges(
-                                procs[site.caller].local,
-                                procs[site.caller],
-                                internal,
-                            )
-                        changed = True
-            summary_span.set(edges=total_summary, iterations=iterations)
-
-        sdg = SDGAnalysis(
-            program=program,
-            graph=graph,
-            signatures=sigs,
-            procs=procs,
-            sites_of=sites_of,
-            summary_edges=total_summary if program.procs else 0,
-            summary_iterations=iterations if program.procs else 0,
-        )
-        # Formal pairs per unit: the slice-result salvage compares these
-        # across versions to decide whether a dirty unit's edit could
-        # have moved any summary edge.
-        sdg._unit_pairs = dict(pairs)
-        span.set(
-            units=len(procs),
-            vertices=offset,
-            summary_edges=sdg.summary_edges,
-        )
-        return sdg
+#: The SDG builder; a cache-carrying analysis makes it salvage units and
+#: stitched graphs.  Re-exported under this name because the benchmark's
+#: per-layer timing (perfbench/layers.py) wraps it as an incremental layer.
+build_sdg_incremental = build_sdg
 
 
 # ---------------------------------------------------------------------------
@@ -1012,12 +657,9 @@ def _salvage_facts(analysis: ProgramAnalysis, sdg):
     off, direct ``build_sdg`` callers) never hit the salvage path."""
     if not incremental_enabled():
         return None
-    cache = getattr(analysis, "_unit_cache", None)
-    digests = getattr(analysis, "_unit_digests", None)
-    pairs = getattr(sdg, "_unit_pairs", None)
-    if cache is None or digests is None or pairs is None:
+    if analysis._unit_cache is None:
         return None
-    return cache, digests, pairs
+    return analysis._unit_cache, analysis._unit_digests, sdg.unit_pairs
 
 
 def salvage_sdg_slice(analysis: ProgramAnalysis, sdg, criterion):

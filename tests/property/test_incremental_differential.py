@@ -3,11 +3,12 @@
 The incremental layer is pure acceleration: an edit-trace served by a
 persistent :class:`~repro.service.cache.AnalysisCache` (whose unit
 cache salvages untouched procedures' analyses and stitched SDG graphs)
-must produce slice payloads **byte-identical** to a cold, monolithic
-recompute of each edited program — nodes, lines, ``label_map``,
-``traversals``, notes, per-procedure breakdowns, and the
-``summary_edges`` count all included, since :func:`slice_result_payload`
-is the protocol surface clients actually see.
+must produce slice payloads **byte-identical** to a cold recompute of
+each edited program, its SDG built by the monolithic worklist oracle —
+nodes, lines, ``label_map``, ``traversals``, notes, per-procedure
+breakdowns, and the ``summary_edges`` count all included, since
+:func:`slice_result_payload` is the protocol surface clients actually
+see.
 
 Edit model: each step perturbs one random assignment's right-hand side
 (wrapping it in ``+ k``), re-renders the canonical source, and
@@ -41,6 +42,8 @@ from repro.service.protocol import slice_result_payload
 from repro.slicing.criterion import SlicingCriterion
 from repro.slicing.registry import get_algorithm
 
+from tests.property.reference_summary import reference_sdg
+
 EDITS_PER_TRACE = 4
 
 
@@ -63,13 +66,17 @@ def mutate_one_assignment(program: Program, rng: random.Random) -> str:
 
 
 def fresh_payload(source: str, criterion: SlicingCriterion, algorithm: str):
-    """The reference answer: a cold monolithic build, incremental off.
+    """The reference answer: a cold build, incremental off, whose SDG
+    comes from the monolithic worklist oracle (``reference_summary.py``)
+    so the trace is checked against an independent fixpoint.
 
     Returns either the payload dict or ``("error", message)`` — a
     criterion the slicers reject (e.g. a statically dead write) must be
     rejected identically by both paths."""
     with incremental(False):
         analysis = analyze_program(source)
+        if algorithm == "interprocedural":
+            analysis._sdg = reference_sdg(source, main_analysis=analysis)
         try:
             result = get_algorithm(algorithm)(analysis, criterion)
         except SliceError as exc:

@@ -1,17 +1,27 @@
 """Unit tests for the SDG subsystem: call graph, parameter model,
 summary edges, and criterion resolution across procedures."""
 
+import random
+import sys
+
 import pytest
 
 from repro.cfg.builder import INPUT_CURSOR
+from repro.gen.generator import generate_interprocedural, random_criterion
 from repro.lang.ast_nodes import MAIN_UNIT
 from repro.lang.errors import SliceError, UnreachableCriterionError
 from repro.lang.parser import parse_program
+from repro.lang.pretty import pretty
 from repro.pdg.builder import analyze_program
-from repro.sdg.builder import sdg_for_analysis
+from repro.pdg.closure import condense
+from repro.sdg import callgraph, params
+from repro.sdg.builder import build_sdg, sdg_for_analysis
 from repro.sdg.callgraph import build_call_graph
 from repro.sdg.params import IO_PARAM, actuals_for, signatures
 from repro.sdg.slicer import resolve_sdg_criterion, sdg_slice
+from repro.service.cache import AnalysisCache
+from repro.service.engine import SlicingEngine
+from repro.service.resilience import Budget, BudgetExceededError, use_budget
 from repro.slicing.criterion import SlicingCriterion
 
 COMBINE = """\
@@ -145,6 +155,19 @@ class TestSummaryEdges:
         assert sdg.summary_edges > 0
         assert sdg.summary_iterations >= 1
 
+    def test_budget_stops_name_an_sdg_phase(self):
+        analysis = analyze_program(CHAIN)
+        with use_budget(Budget(max_traversals=0)):
+            with pytest.raises(BudgetExceededError) as err:
+                build_sdg(analysis.program, main_analysis=analysis)
+        assert err.value.phase == "sdg-summary"
+        # The callees-first order's SCC walk polls the deadline under
+        # the same phase.
+        with use_budget(Budget(deadline_seconds=-1.0)):
+            with pytest.raises(BudgetExceededError) as err:
+                condense(["main"], lambda unit: [], "sdg-summary")
+        assert err.value.phase == "sdg-summary"
+
     def test_degenerate_program_has_no_summary_edges(self):
         sdg = _sdg("x = 1;\nwrite(x);")
         assert sdg.is_degenerate
@@ -250,3 +273,55 @@ class TestSliceShape:
         globals_ = result.global_nodes()
         total = sum(len(nodes) for nodes in result.per_proc.values())
         assert len(globals_) == total
+
+
+def _count_calls(monkeypatch, original):
+    """Replace every ``repro`` module's reference to *original* with a
+    counting wrapper; returns the list the wrapper appends to."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+class TestFrontMemo:
+    def test_one_call_graph_per_cold_multiproc_request(self, monkeypatch):
+        jobs = [(COMBINE, 5, "s"), (CHAIN, 3, "r"), (READER, 3, "x")]
+        for seed in range(7):
+            source = pretty(generate_interprocedural(random.Random(seed)))
+            line, var = random_criterion(
+                random.Random(seed), parse_program(source)
+            )
+            jobs.append((source, line, var))
+        graphs = _count_calls(monkeypatch, callgraph.build_call_graph)
+        sigs = _count_calls(monkeypatch, params.signatures)
+        engine = SlicingEngine(cache=AnalysisCache(capacity=16))
+        try:
+            for source, line, var in jobs:
+                envelope = engine.handle_payload(
+                    {
+                        "version": 2,
+                        "op": "slice",
+                        "source": source,
+                        "line": line,
+                        "var": var,
+                        "algorithm": "interprocedural",
+                    }
+                )
+                # A dead generated criterion is rejected after the SDG
+                # build, which is what this test counts.
+                assert envelope["ok"] or (
+                    envelope["error"]["code"] == "unreachable-criterion"
+                ), envelope
+        finally:
+            engine.close()
+        assert len(graphs) == len(jobs)
+        assert len(sigs) == len(jobs)

@@ -207,14 +207,14 @@ class TestLifecycle:
 
 class TestSalvage:
     def _wire(self, sdg, analysis, cache):
-        """Attach the incremental bookkeeping the engine's incremental
+        """Set the incremental bookkeeping the engine's incremental
         path records: the unit cache, the digest vector, and the
         per-unit formal-dependence pairs."""
         analysis._unit_cache = cache
         analysis._unit_digests = {
             unit: f"digest-{unit}" for unit in sdg.procs
         }
-        sdg._unit_pairs = {
+        sdg.unit_pairs = {
             unit: frozenset({(0, 0)}) for unit in sdg.procs
         }
 
