@@ -10,6 +10,11 @@ the exposition reconciles exactly with the JSON counters; the
 observability CI smoke and ``tests/integration/test_observability.py``
 assert that.
 
+:data:`FAMILIES` declares every family once: name, type, help, its
+source in the snapshot, its shape, and its cluster merge rule.  The
+renderer walks it, and so does
+:func:`repro.service.stats.merge_stats_payloads`.
+
 The request/latency keys of a snapshot are ``"op"`` or
 ``"op:algorithm"`` strings; they are split into ``op`` / ``algorithm``
 labels here.  Snapshot histogram buckets are per-bucket counts;
@@ -23,9 +28,16 @@ dependencies.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["render_prometheus", "parse_prometheus", "PROM_CONTENT_TYPE"]
+__all__ = [
+    "FAMILIES",
+    "Family",
+    "render_prometheus",
+    "parse_prometheus",
+    "PROM_CONTENT_TYPE",
+]
 
 #: The content type Prometheus expects for the text exposition format.
 PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -104,265 +116,241 @@ def _histogram(
     writer.sample(f"{name}_count", labels, snapshot["count"])
 
 
-def render_prometheus(payload: Dict[str, Any]) -> str:
-    """Render one ``stats_payload()`` snapshot as exposition text."""
-    writer = _Writer()
+# Shapes: where a family's samples come from in its source.
+SCALAR = "scalar"  # one value: ``source[field]``
+LABELLED = "labelled"  # a ``{key: count}`` map, one series per key
+HISTOGRAMS = "histograms"  # a ``{key: histogram snapshot}`` map
+PER_SHARD = "per-shard"  # ``worker_stats[shard][field]`` of the cluster tier
 
-    writer.head(
-        "slang_uptime_seconds", "gauge", "Seconds since stats started."
-    )
-    writer.sample("slang_uptime_seconds", {}, payload["uptime_seconds"])
+# Cluster merge rules (see repro.service.stats.merge_stats_payloads).
+SUM = "sum"  # add across workers; None (unlimited) anywhere stays None
+MAX = "max"
+FIRST = "first"  # configuration every worker shares
+RATE = "rate"  # hits / (hits + misses) of the merged tier; declared last
 
-    writer.head(
-        "slang_requests_total", "counter", "Requests handled, by op."
-    )
-    for key, count in payload["requests"].items():
-        writer.sample("slang_requests_total", _split_key(key), count)
 
-    writer.head(
-        "slang_errors_total", "counter", "Requests that errored, by op."
-    )
-    for key, count in payload["errors"].items():
-        writer.sample("slang_errors_total", _split_key(key), count)
+@dataclass(frozen=True)
+class Family:
+    """One metric family: its exposition, its source in a
+    ``stats_payload()`` dict, and how a cluster merges it.
 
-    writer.head(
-        "slang_events_total",
-        "counter",
-        "Resilience outcomes (shed, budget-exceeded, degraded, retry...).",
-    )
-    for name, count in payload["events"].items():
-        writer.sample("slang_events_total", {"event": name}, count)
+    ``tier`` is the payload's top-level key (``None``: the payload
+    itself) and ``field`` the key within it (``None``: the whole tier is
+    the map of a ``LABELLED`` or ``HISTOGRAMS`` family).  ``label`` names
+    the map key's label; ``"op"`` splits an ``op:algorithm`` key in two.
+    A row without a ``name`` is a ``/stats`` field with no exposition.
+    ``merge`` is ``None`` where the cluster merges nothing: a view of
+    another row's map, or the supervisor's own ``cluster`` tier.
+    """
 
-    sdg_events = {
-        name: count
-        for name, count in payload["events"].items()
-        if name.startswith("sdg:")
-    }
-    for event, metric, help_text in (
-        ("sdg:procedures", "slang_sdg_procedures_total",
-         "Procedures analysed into system dependence graphs."),
-        ("sdg:summary-edges", "slang_sdg_summary_edges_total",
-         "Summary edges computed across all SDG builds."),
-        ("sdg:pass1-visits", "slang_sdg_pass1_visits_total",
-         "Vertices marked by interprocedural slicing pass 1."),
-        ("sdg:pass2-visits", "slang_sdg_pass2_visits_total",
-         "Vertices marked by interprocedural slicing pass 2."),
-    ):
-        if event in sdg_events:
-            writer.head(metric, "counter", help_text)
-            writer.sample(metric, {}, sdg_events[event])
+    name: Optional[str]
+    kind: str
+    help: str
+    tier: Optional[str]
+    field: Optional[str]
+    shape: str = SCALAR
+    merge: Optional[str] = SUM
+    label: str = ""
 
-    events = payload["events"]
-    for event, metric, help_text in (
-        ("sdg-index:builds", "slang_sdg_index_builds_total",
-         "Whole-SDG closure indexes built (ascend + descend sides)."),
-        ("sdg-index:mask-hits", "slang_sdg_index_mask_hits_total",
-         "Two-pass fixpoints answered from closure-index mask lookups."),
-        ("sdg-index:pressure-skips", "slang_sdg_index_pressure_skips_total",
-         "SDG index builds deferred under deadline pressure "
-         "(worklist fallback served the slice)."),
-        ("sdg-index:incremental-salvages",
-         "slang_sdg_index_incremental_salvages_total",
-         "Whole-SDG closure indexes salvaged from the unit cache "
-         "across edits."),
-    ):
-        if event in events:
-            writer.head(metric, "counter", help_text)
-            writer.sample(metric, {}, events[event])
 
-    writer.head(
-        "slang_diagnostics_total",
-        "counter",
-        "Lint diagnostics emitted, by stable code.",
-    )
-    for code, count in payload["diagnostics"].items():
-        writer.sample("slang_diagnostics_total", {"code": code}, count)
+def _counter(name, help_text, tier, field, **rest) -> Family:
+    return Family(name, "counter", help_text, tier, field, **rest)
 
-    writer.head(
-        "slang_request_duration_seconds",
-        "histogram",
-        "Request latency, by op.",
-    )
-    for key, snapshot in payload["latency"].items():
-        _histogram(
-            writer,
-            "slang_request_duration_seconds",
-            _split_key(key),
-            snapshot,
-        )
 
-    writer.head(
-        "slang_phase_duration_seconds",
-        "histogram",
-        "Per-phase span durations from traced requests.",
-    )
-    for phase, snapshot in payload.get("phases", {}).items():
-        _histogram(
-            writer,
-            "slang_phase_duration_seconds",
-            {"phase": phase},
-            snapshot,
-        )
+def _gauge(name, help_text, tier, field, **rest) -> Family:
+    return Family(name, "gauge", help_text, tier, field, **rest)
 
-    cache = payload.get("cache")
-    if cache is not None:
-        for field, kind, help_text in (
-            ("hits", "counter", "Analysis cache lookups that hit."),
-            ("misses", "counter", "Analysis cache lookups that missed."),
-            ("evictions", "counter", "Analysis cache LRU evictions."),
-            ("entries", "gauge", "Analyses currently cached."),
-        ):
-            name = f"slang_cache_{field}"
-            if kind == "counter":
-                name += "_total"
-            writer.head(name, kind, help_text)
-            writer.sample(name, {}, cache[field])
 
-    slice_cache = payload.get("slice_cache")
-    if slice_cache is not None:
-        for field, help_text in (
-            ("hits", "Slice memo lookups that hit."),
-            ("misses", "Slice memo lookups that missed."),
-            ("evictions", "Slice memo LRU evictions."),
-        ):
-            name = f"slang_slice_cache_{field}_total"
-            writer.head(name, "counter", help_text)
-            writer.sample(name, {}, slice_cache[field])
+def _stats_only(tier, field, merge) -> Family:
+    return Family(None, "", "", tier, field, merge=merge)
 
-    incremental = payload.get("incremental")
-    if incremental is not None:
-        writer.head(
-            "slang_incremental_enabled",
-            "gauge",
-            "Whether per-unit incremental reuse is on (1) or off (0).",
-        )
-        writer.sample(
-            "slang_incremental_enabled",
-            {},
-            1 if incremental.get("enabled") else 0,
-        )
-        for field, kind, help_text in (
-            ("programs", "counter",
-             "Programs fingerprinted by the incremental path."),
-            ("spans_reused", "counter",
-             "Source spans whose parsed AST was reused verbatim."),
-            ("spans_parsed", "counter",
-             "Source spans re-parsed because text or start line "
-             "changed."),
-            ("units_reused", "counter",
-             "Unit analyses salvaged from the unit cache."),
-            ("units_built", "counter",
-             "Unit analyses built because no fingerprint matched."),
-            ("stitched_reused", "counter",
+
+def _event(name, event, help_text) -> Family:
+    return _counter(name, help_text, "events", event, merge=None)
+
+
+#: Every metric family, in exposition order.  Adding a counter to a
+#: tier is one row here: the renderer, the cluster merge and
+#: :class:`repro.service.incremental.IncrementalStats` all read it.
+FAMILIES: Tuple[Family, ...] = (
+    _gauge("slang_uptime_seconds", "Seconds since stats started.",
+           None, "uptime_seconds", merge=MAX),
+    _counter("slang_requests_total", "Requests handled, by op.",
+             "requests", None, shape=LABELLED, label="op"),
+    _counter("slang_errors_total", "Requests that errored, by op.",
+             "errors", None, shape=LABELLED, label="op"),
+    _counter("slang_events_total",
+             "Resilience outcomes (shed, budget-exceeded, degraded, "
+             "retry...).",
+             "events", None, shape=LABELLED, label="event"),
+    _event("slang_sdg_procedures_total", "sdg:procedures",
+           "Procedures analysed into system dependence graphs."),
+    _event("slang_sdg_summary_edges_total", "sdg:summary-edges",
+           "Summary edges computed across all SDG builds."),
+    _event("slang_sdg_pass1_visits_total", "sdg:pass1-visits",
+           "Vertices marked by interprocedural slicing pass 1."),
+    _event("slang_sdg_pass2_visits_total", "sdg:pass2-visits",
+           "Vertices marked by interprocedural slicing pass 2."),
+    _event("slang_sdg_index_builds_total", "sdg-index:builds",
+           "Whole-SDG closure indexes built (ascend + descend sides)."),
+    _event("slang_sdg_index_mask_hits_total", "sdg-index:mask-hits",
+           "Two-pass fixpoints answered from closure-index mask lookups."),
+    _event("slang_sdg_index_pressure_skips_total", "sdg-index:pressure-skips",
+           "SDG index builds deferred under deadline pressure "
+           "(worklist fallback served the slice)."),
+    _event("slang_sdg_index_incremental_salvages_total",
+           "sdg-index:incremental-salvages",
+           "Whole-SDG closure indexes salvaged from the unit cache "
+           "across edits."),
+    _counter("slang_diagnostics_total",
+             "Lint diagnostics emitted, by stable code.",
+             "diagnostics", None, shape=LABELLED, label="code"),
+    Family("slang_request_duration_seconds", "histogram",
+           "Request latency, by op.",
+           "latency", None, shape=HISTOGRAMS, label="op"),
+    Family("slang_phase_duration_seconds", "histogram",
+           "Per-phase span durations from traced requests.",
+           "phases", None, shape=HISTOGRAMS, label="phase"),
+    _stats_only("cache", "capacity", SUM),
+    _counter("slang_cache_hits_total", "Analysis cache lookups that hit.",
+             "cache", "hits"),
+    _counter("slang_cache_misses_total",
+             "Analysis cache lookups that missed.", "cache", "misses"),
+    _counter("slang_cache_evictions_total", "Analysis cache LRU evictions.",
+             "cache", "evictions"),
+    _gauge("slang_cache_entries", "Analyses currently cached.",
+           "cache", "entries"),
+    _stats_only("cache", "hit_rate", RATE),
+    _counter("slang_slice_cache_hits_total", "Slice memo lookups that hit.",
+             "slice_cache", "hits"),
+    _counter("slang_slice_cache_misses_total",
+             "Slice memo lookups that missed.", "slice_cache", "misses"),
+    _counter("slang_slice_cache_evictions_total",
+             "Slice memo LRU evictions.", "slice_cache", "evictions"),
+    _stats_only("slice_cache", "hit_rate", RATE),
+    _gauge("slang_incremental_enabled",
+           "Whether per-unit incremental reuse is on (1) or off (0).",
+           "incremental", "enabled", merge=FIRST),
+    _stats_only("incremental", "capacity", SUM),
+    _counter("slang_incremental_programs_total",
+             "Programs fingerprinted by the incremental path.",
+             "incremental", "programs"),
+    _counter("slang_incremental_spans_reused_total",
+             "Source spans whose parsed AST was reused verbatim.",
+             "incremental", "spans_reused"),
+    _counter("slang_incremental_spans_parsed_total",
+             "Source spans re-parsed because text or start line changed.",
+             "incremental", "spans_parsed"),
+    _counter("slang_incremental_units_reused_total",
+             "Unit analyses salvaged from the unit cache.",
+             "incremental", "units_reused"),
+    _counter("slang_incremental_units_built_total",
+             "Unit analyses built because no fingerprint matched.",
+             "incremental", "units_built"),
+    _counter("slang_incremental_stitched_reused_total",
              "Stitched per-unit SDG graphs reused (summary edges and "
-             "closure index included)."),
-            ("stitched_built", "counter",
-             "Stitched per-unit SDG graphs rebuilt."),
-            ("recursive_rebuilt", "counter",
-             "Units rebuilt because their call-graph SCC is recursive."),
-            ("slices_salvaged", "counter",
-             "Interprocedural slice results replayed across edits."),
-            ("indexes_salvaged", "counter",
-             "Whole-SDG closure indexes replayed across edits."),
-            ("store_unit_hits", "counter",
-             "Durable-store reads answered via the per-unit sub-key."),
-            ("entries", "gauge", "Unit analyses currently cached."),
-            ("stitched_entries", "gauge",
-             "Stitched graphs currently cached."),
-            ("span_entries", "gauge",
-             "Parsed source spans currently cached."),
-            ("slice_entries", "gauge",
-             "Slice results currently held for salvage."),
-            ("index_entries", "gauge",
-             "Whole-SDG closure indexes currently held for salvage."),
-        ):
-            name = f"slang_incremental_{field}"
-            if kind == "counter":
-                name += "_total"
-            writer.head(name, kind, help_text)
-            writer.sample(name, {}, incremental[field])
+             "closure index included).",
+             "incremental", "stitched_reused"),
+    _counter("slang_incremental_stitched_built_total",
+             "Stitched per-unit SDG graphs rebuilt.",
+             "incremental", "stitched_built"),
+    _counter("slang_incremental_recursive_rebuilt_total",
+             "Units rebuilt because their call-graph SCC is recursive.",
+             "incremental", "recursive_rebuilt"),
+    _counter("slang_incremental_slices_salvaged_total",
+             "Interprocedural slice results replayed across edits.",
+             "incremental", "slices_salvaged"),
+    _counter("slang_incremental_indexes_salvaged_total",
+             "Whole-SDG closure indexes replayed across edits.",
+             "incremental", "indexes_salvaged"),
+    _counter("slang_incremental_store_unit_hits_total",
+             "Durable-store reads answered via the per-unit sub-key.",
+             "incremental", "store_unit_hits"),
+    _gauge("slang_incremental_entries", "Unit analyses currently cached.",
+           "incremental", "entries"),
+    _gauge("slang_incremental_stitched_entries",
+           "Stitched graphs currently cached.",
+           "incremental", "stitched_entries"),
+    _gauge("slang_incremental_span_entries",
+           "Parsed source spans currently cached.",
+           "incremental", "span_entries"),
+    _gauge("slang_incremental_slice_entries",
+           "Slice results currently held for salvage.",
+           "incremental", "slice_entries"),
+    _gauge("slang_incremental_index_entries",
+           "Whole-SDG closure indexes currently held for salvage.",
+           "incremental", "index_entries"),
+    # The durable store is one directory shared by every worker: its
+    # byte gauge takes the max, its activity counters add.
+    _stats_only("store", "root", FIRST),
+    _stats_only("store", "max_bytes", FIRST),
+    _counter("slang_store_hits_total", "Durable store reads that hit.",
+             "store", "hits"),
+    _counter("slang_store_misses_total", "Durable store reads that missed.",
+             "store", "misses"),
+    _counter("slang_store_puts_total", "Durable store entries written.",
+             "store", "puts"),
+    _counter("slang_store_evictions_total", "Durable store LRU evictions.",
+             "store", "evictions"),
+    _counter("slang_store_quarantined_total",
+             "Corrupt durable-store entries quarantined (never served).",
+             "store", "quarantined"),
+    _counter("slang_store_errors_total", "Durable store filesystem errors.",
+             "store", "errors"),
+    _gauge("slang_store_bytes", "Approximate durable store footprint.",
+           "store", "bytes", merge=MAX),
+    _stats_only("store", "hit_rate", RATE),
+    _gauge("slang_cluster_workers", "Configured worker count.",
+           "cluster", "workers", merge=None),
+    _gauge("slang_cluster_workers_alive", "Workers currently alive.",
+           "cluster", "alive", merge=None),
+    _counter("slang_cluster_restarts_total", "Worker restarts, by shard.",
+             "cluster", "restarts", shape=PER_SHARD, merge=None),
+    _counter("slang_cluster_requests_total", "Requests routed, by shard.",
+             "cluster", "requests", shape=PER_SHARD, merge=None),
+    _counter("slang_cluster_proxy_errors_total",
+             "Requests that failed at the supervisor proxy "
+             "(dead worker, connection reset).",
+             "cluster", "proxy_errors", merge=None),
+    _gauge("slang_inflight_requests", "Requests in flight.",
+           "admission", "inflight"),
+    _stats_only("admission", "max_inflight", SUM),
+    _counter("slang_shed_total", "Requests shed at the admission gate.",
+             "admission", "shed"),
+)
 
-    store = payload.get("store")
-    if store is not None:
-        for field, kind, help_text in (
-            ("hits", "counter", "Durable store reads that hit."),
-            ("misses", "counter", "Durable store reads that missed."),
-            ("puts", "counter", "Durable store entries written."),
-            ("evictions", "counter", "Durable store LRU evictions."),
-            ("quarantined", "counter",
-             "Corrupt durable-store entries quarantined (never served)."),
-            ("errors", "counter", "Durable store filesystem errors."),
-            ("bytes", "gauge", "Approximate durable store footprint."),
-        ):
-            name = f"slang_store_{field}"
-            if kind == "counter":
-                name += "_total"
-            writer.head(name, kind, help_text)
-            writer.sample(name, {}, store[field])
 
-    cluster = payload.get("cluster")
-    if cluster is not None:
-        writer.head(
-            "slang_cluster_workers", "gauge", "Configured worker count."
-        )
-        writer.sample("slang_cluster_workers", {}, cluster["workers"])
-        writer.head(
-            "slang_cluster_workers_alive",
-            "gauge",
-            "Workers currently alive.",
-        )
-        writer.sample(
-            "slang_cluster_workers_alive", {}, cluster["alive"]
-        )
-        writer.head(
-            "slang_cluster_restarts_total",
-            "counter",
-            "Worker restarts, by shard.",
-        )
-        for shard, worker in enumerate(cluster.get("worker_stats", [])):
-            writer.sample(
-                "slang_cluster_restarts_total",
-                {"shard": str(shard)},
-                worker.get("restarts", 0),
-            )
-        writer.head(
-            "slang_cluster_requests_total",
-            "counter",
-            "Requests routed, by shard.",
-        )
-        for shard, worker in enumerate(cluster.get("worker_stats", [])):
-            writer.sample(
-                "slang_cluster_requests_total",
-                {"shard": str(shard)},
-                worker.get("requests", 0),
-            )
-        writer.head(
-            "slang_cluster_proxy_errors_total",
-            "counter",
-            "Requests that failed at the supervisor proxy "
-            "(dead worker, connection reset).",
-        )
-        writer.sample(
-            "slang_cluster_proxy_errors_total",
-            {},
-            cluster.get("proxy_errors", 0),
-        )
-
-    admission = payload.get("admission")
-    if admission is not None:
-        writer.head(
-            "slang_inflight_requests", "gauge", "Requests in flight."
-        )
-        writer.sample(
-            "slang_inflight_requests", {}, admission["inflight"]
-        )
-        writer.head(
-            "slang_shed_total",
-            "counter",
-            "Requests shed at the admission gate.",
-        )
-        writer.sample("slang_shed_total", {}, admission["shed"])
-
+def render_prometheus(payload: Dict[str, Any]) -> str:
+    """Render one ``stats_payload()`` snapshot as exposition text: one
+    family per :data:`FAMILIES` row whose source is present."""
+    writer = _Writer()
+    for family in FAMILIES:
+        source = payload if family.tier is None else payload.get(family.tier)
+        if family.name is None or source is None:
+            continue
+        name = family.name
+        if family.shape == SCALAR:
+            if family.field not in source:
+                continue
+            writer.head(name, family.kind, family.help)
+            writer.sample(name, {}, source[family.field])
+            continue
+        writer.head(name, family.kind, family.help)
+        if family.shape == PER_SHARD:
+            for shard, worker in enumerate(source.get("worker_stats", [])):
+                writer.sample(
+                    name, {"shard": str(shard)}, worker.get(family.field, 0)
+                )
+            continue
+        for key, value in source.items():
+            if family.label == "op":
+                labels = _split_key(key)
+            else:
+                labels = {family.label: key}
+            if family.shape == HISTOGRAMS:
+                _histogram(writer, name, labels, value)
+            else:
+                writer.sample(name, labels, value)
     return writer.text()
 
 

@@ -371,9 +371,9 @@ def ensure_sdg_index(
     salvaged or newly built one; ``None`` when disabled or deferred
     under deadline pressure (callers then take the worklist path).
 
-    ``events`` reports what happened this call (``builds``,
-    ``salvages``, ``pressure_skips``), feeding the per-slice counters
-    the service aggregates into ``slang_sdg_index_*``.
+    ``events`` counts what happened this call under the service's
+    ``sdg-index:*`` event names (``builds``, ``incremental-salvages``,
+    ``pressure-skips``), which ``slang_sdg_index_*`` exports.
     """
     events: Dict[str, int] = {}
     if not sdg_index_enabled():
@@ -383,7 +383,7 @@ def ensure_sdg_index(
     if index is not None and index.signature == signature:
         return index, events
     if not index_build_allowed():
-        events["pressure_skips"] = 1
+        events["sdg-index:pressure-skips"] = 1
         return None, events
     with sdg._closure_index_lock:
         index = sdg._closure_index
@@ -398,11 +398,11 @@ def ensure_sdg_index(
                 and cached.signature == signature
             ):
                 index = cached
-                events["salvages"] = 1
+                events["sdg-index:incremental-salvages"] = 1
                 cache.stats.record("indexes_salvaged")
         if index is None:
             index = build_sdg_closure_index(sdg)
-            events["builds"] = 1
+            events["sdg-index:builds"] = 1
             if cache is not None:
                 cache.put_index(key, index)
         sdg._closure_index = index

@@ -66,6 +66,11 @@ class ParamSignature:
         return len(self.declared)
 
 
+#: ``main``'s interface: it owns the input stream and takes no
+#: parameters.
+MAIN_SIGNATURE = ParamSignature(name=MAIN_UNIT, declared=(), io=False)
+
+
 @dataclass(frozen=True)
 class ActualSpec:
     """One parameter position at one call site.
@@ -93,9 +98,7 @@ def signatures(
     """
     if graph is None:
         graph = build_call_graph(program)
-    table: Dict[str, ParamSignature] = {
-        MAIN_UNIT: ParamSignature(name=MAIN_UNIT, declared=(), io=False)
-    }
+    table: Dict[str, ParamSignature] = {MAIN_UNIT: MAIN_SIGNATURE}
     for proc in program.procs:
         table[proc.name] = ParamSignature(
             name=proc.name,

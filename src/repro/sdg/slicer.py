@@ -166,14 +166,11 @@ class SDGSliceResult:
     notes: List[str] = field(default_factory=list)
     algorithm: str = ALGORITHM
     #: Whether the whole-SDG closure index served this slice's
-    #: fixpoints, and what its lifecycle did during the call.  Protocol
-    #: payloads never include these (index on/off is byte-invisible);
-    #: the service aggregates them into ``slang_sdg_index_*``.
+    #: fixpoints, and what its lifecycle did during the call, as nonzero
+    #: ``sdg-index:*`` event counts.  Protocol payloads never include
+    #: these (index on/off is byte-invisible); the service records them.
     index_used: bool = False
-    index_builds: int = 0
-    index_mask_hits: int = 0
-    index_pressure_skips: int = 0
-    index_salvages: int = 0
+    index_events: Dict[str, int] = field(default_factory=dict)
 
     @property
     def criterion(self) -> SlicingCriterion:
@@ -535,6 +532,8 @@ def sdg_slice(
             traversals=traversals,
             mask_hits=state.mask_hits,
         )
+        if state.mask_hits:
+            index_events["sdg-index:mask-hits"] = state.mask_hits
         return SDGSliceResult(
             sdg=sdg,
             resolved=resolved,
@@ -545,10 +544,7 @@ def sdg_slice(
             pass2_visits=state.pass2_visits,
             pass1_procs=frozenset(state.pass1_reached),
             index_used=index is not None,
-            index_builds=index_events.get("builds", 0),
-            index_mask_hits=state.mask_hits,
-            index_pressure_skips=index_events.get("pressure_skips", 0),
-            index_salvages=index_events.get("salvages", 0),
+            index_events=index_events,
         )
 
 
@@ -576,18 +572,9 @@ def interprocedural_slice(
     if salvaged is not None:
         return salvaged.as_slice_result()
     result = sdg_slice(sdg, criterion, analysis=analysis)
-    # Record with the index lifecycle counters zeroed: a future replay
-    # of this result did no index work, and must not re-report it.
+    # Record without the index events: a future replay of this result
+    # did no index work, and must not re-report it.
     record_sdg_slice(
-        analysis,
-        sdg,
-        criterion,
-        replace(
-            result,
-            index_builds=0,
-            index_mask_hits=0,
-            index_pressure_skips=0,
-            index_salvages=0,
-        ),
+        analysis, sdg, criterion, replace(result, index_events={})
     )
     return result.as_slice_result()

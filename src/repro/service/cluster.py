@@ -657,6 +657,11 @@ class _SupervisorHTTPServer(ThreadingHTTPServer):
         super().__init__(address, _SupervisorHandler)
         self.supervisor = supervisor
 
+    def serve_forever(self, poll_interval: float = 0.05) -> None:
+        """As :meth:`repro.service.server.SlicingHTTPServer.serve_forever`:
+        ``shutdown()`` returns within 50 ms."""
+        super().serve_forever(poll_interval)
+
 
 class _SupervisorHandler(BaseHTTPRequestHandler):
     """The front door: shard-and-forward POSTs, aggregate GETs."""

@@ -494,17 +494,10 @@ class SlicingEngine:
         self.stats.record_event("sdg:pass1-visits", sdg_result.pass1_visits)
         self.stats.record_event("sdg:pass2-visits", sdg_result.pass2_visits)
         # Whole-SDG closure-index lifecycle (repro.sdg.closure).  Slice
-        # replays carry zeroed counters, and the prewarm path reports
-        # its own events directly, so each build/salvage/skip/lookup is
-        # counted exactly once.
-        for count, event in (
-            (sdg_result.index_builds, "sdg-index:builds"),
-            (sdg_result.index_mask_hits, "sdg-index:mask-hits"),
-            (sdg_result.index_pressure_skips, "sdg-index:pressure-skips"),
-            (sdg_result.index_salvages, "sdg-index:incremental-salvages"),
-        ):
-            if count:
-                self.stats.record_event(event, count)
+        # replays carry no index events, and the prewarm path reports
+        # its own, so each build/salvage/skip/lookup is counted once.
+        for name, count in sdg_result.index_events.items():
+            self.stats.record_event(name, count)
 
     def handle(self, request: ServiceRequest) -> Dict[str, Any]:
         """Execute one parsed request, returning a response envelope.
@@ -802,13 +795,8 @@ class SlicingEngine:
                 )
         except SlangError:
             return
-        for key, event in (
-            ("builds", "sdg-index:builds"),
-            ("pressure_skips", "sdg-index:pressure-skips"),
-            ("salvages", "sdg-index:incremental-salvages"),
-        ):
-            if events.get(key):
-                self.stats.record_event(event, events[key])
+        for name, count in events.items():
+            self.stats.record_event(name, count)
 
     def slice_node_sets(
         self,

@@ -87,17 +87,18 @@ import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.cfg.builder import call_interface
 from repro.lang.ast_nodes import MAIN_UNIT, ProcDecl, Program, Stmt, walk_statements
 from repro.lang.errors import SlangError
 from repro.lang.parser import parse_program
 from repro.lang.pretty import pretty
+from repro.obs.prom import FAMILIES
 from repro.obs.tracer import trace_span
 from repro.pdg.builder import ProgramAnalysis, analyze_program
 from repro.sdg.builder import StitchedUnit, build_sdg
-from repro.sdg.params import ParamSignature
+from repro.sdg.params import MAIN_SIGNATURE, ParamSignature
 
 #: Fingerprint schema version; bump to invalidate every cached unit.
 FINGERPRINT_VERSION = "v1"
@@ -136,6 +137,18 @@ def _signature_facts(sig: ParamSignature) -> str:
     return f"{sig.name}({','.join(sig.declared)})io={int(sig.io)}"
 
 
+def _call_interface(
+    program: Program,
+) -> Tuple[Dict[str, Set[str]], Dict[str, ParamSignature]]:
+    """Callees and signatures per unit.  A single-unit program has
+    main's fixed interface and no call sites, so it needs no call
+    graph."""
+    if not program.procs:
+        return {}, {MAIN_UNIT: MAIN_SIGNATURE}
+    graph, sigs = call_interface(program)
+    return graph.callees, sigs
+
+
 def unit_fingerprints(
     program: Program,
     fuse_cond_goto: bool = True,
@@ -148,7 +161,7 @@ def unit_fingerprints(
     (CFG/PDT/LST/CDG/DDG/PDG, node ids, absolute lines) under the same
     options — the invariant every salvage below rests on.
     """
-    graph, sigs = call_interface(program)
+    callees, sigs = _call_interface(program)
     header = (
         f"{FINGERPRINT_VERSION}|{int(fuse_cond_goto)}|{int(chain_io)}|"
         f"{dominator_algorithm}|"
@@ -159,7 +172,7 @@ def unit_fingerprints(
         digest.update(header.encode("utf-8"))
         sig = sigs[unit]
         digest.update(f"unit:{_signature_facts(sig)}\n".encode("utf-8"))
-        for callee in sorted(graph.callees.get(unit, ())):
+        for callee in sorted(callees.get(unit, ())):
             digest.update(
                 f"callee:{_signature_facts(sigs[callee])}\n".encode("utf-8")
             )
@@ -356,18 +369,11 @@ class IncrementalStats:
     """Thread-safe reuse counters, surfaced under ``/stats`` →
     ``incremental`` and as ``slang_incremental_*`` Prometheus families."""
 
-    FIELDS = (
-        "programs",
-        "spans_reused",
-        "spans_parsed",
-        "units_reused",
-        "units_built",
-        "stitched_reused",
-        "stitched_built",
-        "recursive_rebuilt",
-        "slices_salvaged",
-        "indexes_salvaged",
-        "store_unit_hits",
+    #: The ``incremental`` tier's counter rows of the metric table.
+    FIELDS = tuple(
+        family.field
+        for family in FAMILIES
+        if family.tier == "incremental" and family.kind == "counter"
     )
 
     def __init__(self) -> None:

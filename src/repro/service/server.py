@@ -93,6 +93,11 @@ class SlicingHTTPServer(ThreadingHTTPServer):
         self.verbose = verbose
         self.max_body_bytes = max_body_bytes
 
+    def serve_forever(self, poll_interval: float = 0.05) -> None:
+        """Serve until ``shutdown()``, which waits up to one
+        *poll_interval* (the stdlib's 0.5 s made every drain idle)."""
+        super().serve_forever(poll_interval)
+
 
 class SlicingRequestHandler(BaseHTTPRequestHandler):
     server_version = "slang-service/1"

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
+
+from repro.obs.prom import FAMILIES, HISTOGRAMS, MAX, RATE, SUM
 
 #: Upper bucket bounds in seconds (the last bucket is +inf).
 DEFAULT_BUCKETS = (
@@ -211,25 +213,13 @@ def _merge_histogram_snapshots(
     )
 
 
-def _sum_numeric(
-    snapshots: Sequence[Dict[str, Any]], skip: Sequence[str] = ()
-) -> Dict[str, Any]:
-    out: Dict[str, Any] = {}
-    for snapshot in snapshots:
-        for key, value in snapshot.items():
-            if key in skip or isinstance(value, bool):
-                continue
-            if isinstance(value, (int, float)):
-                out[key] = out.get(key, 0) + value
-    return out
-
-
-def _with_hit_rate(stats: Dict[str, Any]) -> Dict[str, Any]:
-    total = stats.get("hits", 0) + stats.get("misses", 0)
-    stats["hit_rate"] = (
-        round(stats.get("hits", 0) / total, 4) if total else 0.0
-    )
-    return stats
+def _combine(rule: str, values: List[Any]) -> Any:
+    if rule == SUM:
+        # None is an unlimited bound (``max_inflight``): it absorbs.
+        return None if None in values else sum(values)
+    if rule == MAX:
+        return max(values, default=0.0)
+    return values[0]  # FIRST
 
 
 def merge_stats_payloads(
@@ -237,78 +227,49 @@ def merge_stats_payloads(
 ) -> Dict[str, Any]:
     """Aggregate per-worker ``/stats`` payloads into one cluster view.
 
-    Counter maps (``requests``/``errors``/``events``/``diagnostics``)
-    and histogram snapshots add across workers; cache/slice-cache/
-    admission counters add with hit rates recomputed from the merged
-    totals.  ``uptime_seconds`` is the *max* (the oldest worker).  The
-    durable store is shared by every worker, so its per-process byte
-    gauges take the max while its per-process activity counters
-    (hits/misses/puts/…) add.
+    Every field merges by its :data:`repro.obs.prom.FAMILIES` rule:
+    counter maps and histogram snapshots add key by key; tier fields
+    sum, max (``uptime_seconds``, the shared store's ``bytes``) or take
+    the first worker's value; hit rates are recomputed from the merged
+    totals.  A tier no worker reports stays absent.
     """
-    merged: Dict[str, Any] = {
-        "uptime_seconds": 0.0,
-        "requests": {},
-        "errors": {},
-        "events": {},
-        "diagnostics": {},
-        "latency": {},
-        "phases": {},
-    }
-    caches: list = []
-    slice_caches: list = []
-    admissions: list = []
-    stores: list = []
-    for payload in payloads:
-        if not isinstance(payload, dict):
+    payloads = [payload for payload in payloads if isinstance(payload, dict)]
+    merged: Dict[str, Any] = {}
+    for family in FAMILIES:
+        rule, tier, field = family.merge, family.tier, family.field
+        if rule is None:
             continue
-        merged["uptime_seconds"] = max(
-            merged["uptime_seconds"], payload.get("uptime_seconds", 0.0)
-        )
-        for key in ("requests", "errors", "events", "diagnostics"):
-            counters = merged[key]
-            for name, count in (payload.get(key) or {}).items():
-                counters[name] = counters.get(name, 0) + count
-        for key in ("latency", "phases"):
-            histograms = merged[key]
-            for name, snapshot in (payload.get(key) or {}).items():
-                _merge_histogram_snapshots(
-                    histograms.setdefault(name, {}), snapshot
-                )
-        for collected, name in (
-            (caches, "cache"),
-            (slice_caches, "slice_cache"),
-            (admissions, "admission"),
-            (stores, "store"),
-        ):
-            tier = payload.get(name)
-            if isinstance(tier, dict):
-                collected.append(tier)
-    for key in ("requests", "errors", "events", "diagnostics",
-                "latency", "phases"):
-        merged[key] = dict(sorted(merged[key].items()))
-    if caches:
-        merged["cache"] = _with_hit_rate(
-            _sum_numeric(caches, skip=("hit_rate",))
-        )
-    if slice_caches:
-        merged["slice_cache"] = _with_hit_rate(
-            _sum_numeric(slice_caches, skip=("hit_rate",))
-        )
-    if admissions:
-        admission = _sum_numeric(admissions, skip=("max_inflight",))
-        limits = [tier.get("max_inflight") for tier in admissions]
-        admission["max_inflight"] = (
-            None if any(limit is None for limit in limits) else sum(limits)
-        )
-        merged["admission"] = admission
-    if stores:
-        store = _sum_numeric(
-            stores, skip=("hit_rate", "bytes", "max_bytes")
-        )
-        store["root"] = stores[0].get("root")
-        store["bytes"] = max(tier.get("bytes", 0) for tier in stores)
-        store["max_bytes"] = stores[0].get("max_bytes")
-        merged["store"] = _with_hit_rate(store)
+        if tier is None:
+            values = [payload[field] for payload in payloads if field in payload]
+            merged[field] = _combine(rule, values)
+        elif field is None:
+            combined: Dict[str, Any] = {}
+            for payload in payloads:
+                for key, value in (payload.get(tier) or {}).items():
+                    if family.shape == HISTOGRAMS:
+                        _merge_histogram_snapshots(
+                            combined.setdefault(key, {}), value
+                        )
+                    else:
+                        combined[key] = combined.get(key, 0) + value
+            merged[tier] = dict(sorted(combined.items()))
+        else:
+            tiers = [
+                payload[tier]
+                for payload in payloads
+                if isinstance(payload.get(tier), dict)
+            ]
+            if not tiers:
+                continue
+            out = merged.setdefault(tier, {})
+            if rule == RATE:
+                hits, misses = out.get("hits", 0), out.get("misses", 0)
+                total = hits + misses
+                out[field] = round(hits / total, 4) if total else 0.0
+                continue
+            values = [stats[field] for stats in tiers if field in stats]
+            if values:
+                out[field] = _combine(rule, values)
     return merged
 
 

@@ -176,6 +176,7 @@ class TestClusterServing:
         assert "slang_cluster_workers_alive 2" in text
         assert 'slang_cluster_restarts_total{shard="0"}' in text
         assert "slang_store_bytes" in text
+        assert "slang_incremental_units_built_total" in text
 
     def test_drain_refuses_posts_but_stays_alive(
         self, cluster, corpus

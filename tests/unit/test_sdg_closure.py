@@ -162,7 +162,7 @@ class TestLifecycle:
         sdg = _sdg()
         with sdg_closure_index(True):
             first, events = ensure_sdg_index(sdg)
-            assert events == {"builds": 1}
+            assert events == {"sdg-index:builds": 1}
             second, events = ensure_sdg_index(sdg)
         assert second is first
         assert events == {}
@@ -178,7 +178,7 @@ class TestLifecycle:
             info.local.add_edge(fresh, min(info.local.nodes), "data")
             second, events = ensure_sdg_index(sdg)
         assert second is not first
-        assert events == {"builds": 1}
+        assert events == {"sdg-index:builds": 1}
         assert second.signature != first.signature
 
     def test_pressure_defers_the_build(self):
@@ -188,11 +188,11 @@ class TestLifecycle:
             with use_budget(Budget(deadline_seconds=tight)):
                 index, events = ensure_sdg_index(sdg)
             assert index is None
-            assert events == {"pressure_skips": 1}
+            assert events == {"sdg-index:pressure-skips": 1}
             # Once the pressure clears the build proceeds.
             index, events = ensure_sdg_index(sdg)
         assert isinstance(index, SDGClosureIndex)
-        assert events == {"builds": 1}
+        assert events == {"sdg-index:builds": 1}
 
     def test_memoized_index_served_even_under_pressure(self):
         sdg = _sdg()
@@ -229,9 +229,9 @@ class TestSalvage:
         self._wire(second_sdg, second_analysis, cache)
         with incremental(True), sdg_closure_index(True):
             built, events = ensure_sdg_index(first_sdg, first_analysis)
-            assert events == {"builds": 1}
+            assert events == {"sdg-index:builds": 1}
             salvaged, events = ensure_sdg_index(second_sdg, second_analysis)
-        assert events == {"salvages": 1}
+        assert events == {"sdg-index:incremental-salvages": 1}
         assert salvaged is built  # same immutable object, replayed
         assert cache.stats.snapshot()["indexes_salvaged"] == 1
 
@@ -248,9 +248,9 @@ class TestSalvage:
         second_analysis._unit_digests[MAIN_UNIT] = "digest-edited"
         with incremental(True), sdg_closure_index(True):
             _, events = ensure_sdg_index(first_sdg, first_analysis)
-            assert events == {"builds": 1}
+            assert events == {"sdg-index:builds": 1}
             _, events = ensure_sdg_index(second_sdg, second_analysis)
-        assert events == {"builds": 1}
+        assert events == {"sdg-index:builds": 1}
         assert cache.stats.snapshot()["indexes_salvaged"] == 0
 
     def test_incremental_off_never_touches_the_cache(self):
@@ -262,7 +262,7 @@ class TestSalvage:
         with incremental(False), sdg_closure_index(True):
             index, events = ensure_sdg_index(sdg, analysis)
         assert index is not None
-        assert events == {"builds": 1}
+        assert events == {"sdg-index:builds": 1}
         assert cache.snapshot()["index_entries"] == 0
 
     def test_units_digest_feeds_the_key(self):
