@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.analysis.tree import Tree
-from repro.cfg.graph import ControlFlowGraph, EdgeLabel
+from repro.cfg.graph import ControlFlowGraph, EdgeLabel, seal_adjacency
 from repro.lang.errors import AnalysisError
 
 
@@ -46,6 +46,10 @@ class ControlDependenceGraph:
         self._edge_set.add((controller, dependent, label))
         self._deps.setdefault(dependent, []).append((controller, label))
         self._controlled.setdefault(controller, []).append((dependent, label))
+
+    def seal(self) -> None:
+        """End construction: see :func:`repro.cfg.graph.seal_adjacency`."""
+        seal_adjacency(self._deps, self._controlled)
 
     def parents_of(self, node: int) -> List[int]:
         """Nodes that *node* is directly control dependent on (deduped,
@@ -114,4 +118,5 @@ def compute_control_dependence(
                 )
             cdg.add(src, walker, label)
             walker = pdt.parent_of(walker)
+    cdg.seal()
     return cdg

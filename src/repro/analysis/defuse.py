@@ -16,7 +16,7 @@ from repro.analysis.reaching_defs import (
     ReachingDefinitions,
     compute_reaching_definitions,
 )
-from repro.cfg.graph import ControlFlowGraph
+from repro.cfg.graph import ControlFlowGraph, seal_adjacency
 
 
 class DataDependenceGraph:
@@ -33,6 +33,10 @@ class DataDependenceGraph:
         self._edge_set.add((def_node, use_node, var))
         self._deps.setdefault(use_node, []).append((def_node, var))
         self._uses.setdefault(def_node, []).append((use_node, var))
+
+    def seal(self) -> None:
+        """End construction: see :func:`repro.cfg.graph.seal_adjacency`."""
+        seal_adjacency(self._deps, self._uses)
 
     def defs_reaching(self, use_node: int) -> List[int]:
         """Nodes *use_node* is directly data dependent on (deduped,
@@ -80,6 +84,7 @@ def compute_data_dependence(
             for var in sorted(node.uses):
                 for bit in iter_bits(reaching_in & var_mask.get(var, 0)):
                     ddg.add(def_nodes[bit], node.id, var)
+        ddg.seal()
         return ddg
     for node in cfg.sorted_nodes():
         if not node.uses:
@@ -87,6 +92,7 @@ def compute_data_dependence(
         for definition in reaching.in_[node.id]:
             if definition.var in node.uses:
                 ddg.add(definition.node, node.id, definition.var)
+    ddg.seal()
     return ddg
 
 

@@ -30,17 +30,20 @@ class Tree:
             raise ValueError(f"root {root} must not have a parent")
         self.root = root
         self._parent = dict(parent)
-        self._children: Dict[int, List[int]] = {root: []}
+        children: Dict[int, List[int]] = {root: []}
         for child in parent:
-            self._children.setdefault(child, [])
+            children.setdefault(child, [])
         for child, par in parent.items():
-            if par not in self._children:
+            if par not in children:
                 raise ValueError(
                     f"parent {par} of {child} is not a tree node"
                 )
-            self._children[par].append(child)
-        for kids in self._children.values():
-            kids.sort()
+            children[par].append(child)
+        #: node -> its children, sorted, sealed into tuples (untracked
+        #: by the cycle collector; see ControlFlowGraph.seal).
+        self._children: Dict[int, Tuple[int, ...]] = {
+            node: tuple(sorted(kids)) for node, kids in children.items()
+        }
         self._depth = self._compute_depths()
         #: node -> its full proper-ancestor chain, filled on demand.
         #: Safe to memoize because the tree is immutable; Fig. 7 walks

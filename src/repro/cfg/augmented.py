@@ -59,4 +59,5 @@ def build_augmented_cfg(cfg: ControlFlowGraph) -> ControlFlowGraph:
             # gets a parallel edge; the graph is a multigraph, so that is
             # harmless and keeps the node uniformly a pseudo-predicate.
             augmented.add_edge(node.id, successor, NOT_TAKEN)
+    augmented.seal()
     return augmented

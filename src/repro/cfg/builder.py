@@ -242,6 +242,7 @@ class CFGBuilder:
         cfg.add_edge(entry.id, first, EdgeLabel.TRUE)
         self._resolve_gotos()
         cfg.lexical_parent = dict(self._lexical_parent)
+        cfg.seal()
         return cfg
 
     # ------------------------------------------------------------------

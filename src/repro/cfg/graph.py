@@ -141,6 +141,16 @@ class CFGNode:
         return f"CFGNode({self.id}, {self.kind.value}, {self.text!r})"
 
 
+def seal_adjacency(*tables: Dict[int, list]) -> None:
+    """Turn every per-node list of finished adjacency *tables* into a
+    tuple.  A tuple is smaller than a list, and a tuple of atoms is
+    untracked by the cycle collector (DESIGN.md §17); a sealed table
+    also rejects the ``append`` of any later ``add_edge``."""
+    for table in tables:
+        for node_id, edges in table.items():
+            table[node_id] = tuple(edges)
+
+
 class ControlFlowGraph:
     """A labelled control-flow graph over statement nodes.
 
@@ -220,6 +230,10 @@ class ControlFlowGraph:
         self._pred[dst].append((src, label))
         if self._reach_cache:
             self._reach_cache.clear()
+
+    def seal(self) -> None:
+        """End construction: see :func:`seal_adjacency`."""
+        seal_adjacency(self._succ, self._pred)
 
     def map_stmt(self, stmt: Stmt, node_id: int) -> None:
         self._stmt_node[id(stmt)] = node_id

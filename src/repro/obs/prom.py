@@ -136,7 +136,8 @@ class Family:
 
     ``tier`` is the payload's top-level key (``None``: the payload
     itself) and ``field`` the key within it (``None``: the whole tier is
-    the map of a ``LABELLED`` or ``HISTOGRAMS`` family).  ``label`` names
+    the map of a ``LABELLED`` or ``HISTOGRAMS`` family; otherwise such a
+    map is the tier's ``field``).  ``label`` names
     the map key's label; ``"op"`` splits an ``op:algorithm`` key in two.
     A row without a ``name`` is a ``/stats`` field with no exposition.
     ``merge`` is ``None`` where the cluster merges nothing: a view of
@@ -317,6 +318,17 @@ FAMILIES: Tuple[Family, ...] = (
     _stats_only("admission", "max_inflight", SUM),
     _counter("slang_shed_total", "Requests shed at the admission gate.",
              "admission", "shed"),
+    # Process-wide cycle-collector accounting (repro.obs.collector).
+    _counter("slang_gc_collections_total",
+             "Cycle-collector passes, by generation.",
+             "gc", "collections", shape=LABELLED, label="generation"),
+    _counter("slang_gc_pause_seconds_total",
+             "Seconds spent in cycle-collector passes, by generation.",
+             "gc", "pause_seconds", shape=LABELLED, label="generation"),
+    _counter("slang_gc_frozen_objects_total",
+             "Objects moved into the collector's permanent generation "
+             "(gc.freeze).",
+             "gc", "frozen_objects"),
 )
 
 
@@ -329,6 +341,10 @@ def render_prometheus(payload: Dict[str, Any]) -> str:
         if family.name is None or source is None:
             continue
         name = family.name
+        if family.shape in (LABELLED, HISTOGRAMS) and family.field:
+            source = source.get(family.field)
+            if source is None:
+                continue
         if family.shape == SCALAR:
             if family.field not in source:
                 continue

@@ -9,6 +9,7 @@ computed lazily since only that baseline needs them.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -58,29 +59,24 @@ def build_pdg(
         pdg.add_edge(src, dst, CONTROL, label)
     for src, dst, var in ddg.edges():
         pdg.add_edge(src, dst, DATA, var)
+    pdg.seal()
     return pdg
 
 
 def build_augmented_pdg(
     cfg: ControlFlowGraph,
     ddg: Optional[DataDependenceGraph] = None,
+    augmented: Optional[ControlFlowGraph] = None,
 ) -> ProgramDependenceGraph:
     """The Ball–Horwitz / Choi–Ferrante augmented PDG: control dependence
     from the **augmented** flowgraph, data dependence from the **plain**
-    one (paper §5)."""
-    augmented = build_augmented_cfg(cfg)
+    one (paper §5).  Pass *cfg*'s augmented flowgraph when it is already
+    built."""
+    if augmented is None:
+        augmented = build_augmented_cfg(cfg)
     pdt = build_postdominator_tree(augmented)
     cdg = compute_control_dependence(augmented, pdt)
-    if ddg is None:
-        ddg = compute_data_dependence(cfg)
-    pdg = ProgramDependenceGraph()
-    for node_id in cfg.nodes:
-        pdg.add_node(node_id)
-    for src, dst, label in cdg.edges():
-        pdg.add_edge(src, dst, CONTROL, label)
-    for src, dst, var in ddg.edges():
-        pdg.add_edge(src, dst, DATA, var)
-    return pdg
+    return build_pdg(cfg, cdg=cdg, ddg=ddg)
 
 
 @dataclass
@@ -114,13 +110,6 @@ class ProgramAnalysis:
     _reaching_index: Optional[Dict[Tuple[int, str], List[int]]] = field(
         default=None, repr=False, compare=False
     )
-    #: Per-analysis slice memo slot, owned and populated by
-    #: repro.service.cache.SliceMemo via the engine; lives here so the
-    #: memo's lifetime is exactly the analysis's (an evicted analysis
-    #: takes its memo with it, and a recycled id can never alias).
-    _slice_memo: Optional[object] = field(
-        default=None, repr=False, compare=False
-    )
     #: Content address of this analysis (repro.service.cache.analysis_key),
     #: stashed by the AnalysisCache so the engine can derive durable-store
     #: keys without re-hashing the source on every slice.
@@ -150,12 +139,19 @@ class ProgramAnalysis:
     _unit_cache: Optional[object] = field(
         default=None, repr=False, compare=False
     )
+    #: Serialises the first build of the lazy augmented graphs, so two
+    #: threads sharing a cached analysis build each of them once.
+    _lazy_lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
 
     def rebind(self, program: Program) -> "ProgramAnalysis":
         """A fresh analysis carrying *program* that shares this one's
         immutable graphs and derived indexes; its per-program slots
-        (slice memo, content key, SDG, unit bookkeeping) start empty, so
-        nothing stale can be served for a different program."""
+        (content key, SDG, unit bookkeeping) start empty, so nothing
+        stale can be served for a different program.  The SDG keeps
+        such a shell of its main analysis, so the analysis's memoized
+        SDG never points back at it (DESIGN.md §17)."""
         return ProgramAnalysis(
             program=program,
             cfg=self.cfg,
@@ -174,18 +170,26 @@ class ProgramAnalysis:
 
     @property
     def augmented_cfg(self) -> ControlFlowGraph:
+        """The Ball–Horwitz augmented flowgraph, built on first use:
+        only that family reads it."""
         if self._augmented_cfg is None:
-            with trace_span("augmented-cfg"):
-                self._augmented_cfg = build_augmented_cfg(self.cfg)
+            with self._lazy_lock:
+                if self._augmented_cfg is None:
+                    with trace_span("augmented-cfg"):
+                        self._augmented_cfg = build_augmented_cfg(self.cfg)
         return self._augmented_cfg
 
     @property
     def augmented_pdg(self) -> ProgramDependenceGraph:
+        """The augmented PDG, built on first use under the same lock."""
         if self._augmented_pdg is None:
-            with trace_span("augmented-pdg"):
-                self._augmented_pdg = build_augmented_pdg(
-                    self.cfg, ddg=self.ddg
-                )
+            augmented = self.augmented_cfg
+            with self._lazy_lock:
+                if self._augmented_pdg is None:
+                    with trace_span("augmented-pdg"):
+                        self._augmented_pdg = build_augmented_pdg(
+                            self.cfg, ddg=self.ddg, augmented=augmented
+                        )
         return self._augmented_pdg
 
     def node_text(self, node_id: int) -> str:

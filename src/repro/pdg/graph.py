@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
+from repro.cfg.graph import seal_adjacency
 from repro.pdg.closure import (
     ClosureIndex,
     build_closure_index,
@@ -55,6 +56,12 @@ class ProgramDependenceGraph:
         self._back.setdefault(dst, []).append((src, kind, detail))
         self._forward.setdefault(src, []).append((dst, kind, detail))
         self._closure_index = None
+
+    def seal(self) -> None:
+        """End construction: see :func:`repro.cfg.graph.seal_adjacency`.
+        The SDG's stitched local graphs grow summary edges after their
+        copy is made, so only finished program PDGs are sealed."""
+        seal_adjacency(self._back, self._forward)
 
     # ------------------------------------------------------------------
 

@@ -367,7 +367,10 @@ def build_sdg(
                         program, unit, cache, digests, options
                     )
                 elif main_analysis is not None:
-                    analysis = main_analysis
+                    # A shell, not the analysis itself: the analysis
+                    # memoizes this SDG, and a back-edge would make
+                    # every evicted analysis cyclic garbage.
+                    analysis = main_analysis.rebind(program)
                 else:
                     analysis = analyze_program(program, **options)
                 cfg = analysis.cfg
@@ -413,8 +416,9 @@ def build_sdg(
 
 def sdg_for_analysis(analysis: ProgramAnalysis) -> SDGAnalysis:
     """The SDG of an already-analysed program, memoized on the analysis
-    object (same lifetime argument as the slice memo: an evicted
-    analysis takes its SDG with it)."""
+    object, so an evicted analysis takes its SDG with it.  The SDG holds
+    a rebound shell of the analysis, never the analysis itself, so the
+    pair stays acyclic (DESIGN.md §17)."""
     if analysis._sdg is None:
         analysis._sdg = build_sdg(analysis.program, main_analysis=analysis)
     return analysis._sdg

@@ -14,8 +14,16 @@ may both build it — the first to finish wins, the loser's artefact is
 dropped — which keeps the fast path lock-light without double-counting
 evictions.  The cached artefacts themselves are safe to share because
 ``ProgramAnalysis`` is immutable after construction (see DESIGN.md §7);
-``get_or_build`` pre-warms the lazy fields when ``prewarm=True`` so
-even the Ball–Horwitz augmented graphs are frozen before sharing.
+its only lazy fields, the Ball–Horwitz augmented graphs, are built on
+first use under a per-analysis lock.
+
+Each entry holds an analysis and that analysis's slice memo, and no
+part of an entry points back at it, so an evicted entry is freed by
+reference counting alone.  That is what lets :meth:`AnalysisCache.put`
+move the whole heap into the collector's permanent generation
+(``gc.freeze``) when a new entry arrives: the served heap is never
+walked again by a collection pass, and nothing frozen can leak
+(DESIGN.md §17).
 """
 
 from __future__ import annotations
@@ -23,8 +31,9 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro.obs import collector
 from repro.obs.tracer import trace_event, trace_span
 from repro.pdg.builder import ProgramAnalysis, analyze_program
 from repro.service.incremental import (
@@ -50,6 +59,16 @@ def analysis_key(
     return digest.hexdigest()
 
 
+class _Entry:
+    """One cached analysis and its slice memo (created on first use)."""
+
+    __slots__ = ("analysis", "memo")
+
+    def __init__(self, analysis: ProgramAnalysis) -> None:
+        self.analysis = analysis
+        self.memo: Optional["SliceMemo"] = None
+
+
 class AnalysisCache:
     """An LRU map ``content address -> ProgramAnalysis``.
 
@@ -60,9 +79,8 @@ class AnalysisCache:
         is evicted when a new program would exceed it.  ``capacity <= 0``
         disables caching (every request rebuilds).
     prewarm:
-        When true, force the lazy :class:`ProgramAnalysis` fields (the
-        augmented CFG/PDG and reaching definitions) at build time, so
-        the shared object is never mutated after it enters the cache.
+        When true, build the PDG's closure index at build time, so the
+        first slice of a new program does not pay for it.
     unit_cache:
         The per-procedure :class:`~repro.service.incremental.UnitCache`
         behind the whole-program entries; a default-sized one is
@@ -82,7 +100,7 @@ class AnalysisCache:
         self.capacity = capacity
         self.prewarm = prewarm
         self.unit_cache = unit_cache if unit_cache is not None else UnitCache()
-        self._entries: "OrderedDict[str, ProgramAnalysis]" = OrderedDict()
+        self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -95,13 +113,13 @@ class AnalysisCache:
     def get(self, key: str) -> Optional[ProgramAnalysis]:
         """Look up a content address, updating recency and counters."""
         with self._lock:
-            analysis = self._entries.get(key)
-            if analysis is None:
+            entry = self._entries.get(key)
+            if entry is None:
                 self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            return analysis
+            return entry.analysis
 
     def peek(self, key: str) -> Optional[ProgramAnalysis]:
         """Like :meth:`get` but silent: no recency bump, no counters.
@@ -111,22 +129,44 @@ class AnalysisCache:
         double-counting the lookup that follows.
         """
         with self._lock:
-            return self._entries.get(key)
+            entry = self._entries.get(key)
+            return entry.analysis if entry is not None else None
 
     def put(self, key: str, analysis: ProgramAnalysis) -> ProgramAnalysis:
-        """Insert (or adopt the existing winner of a build race)."""
+        """Insert (or adopt the existing winner of a build race).
+
+        A new entry freezes the heap (``gc.freeze`` through
+        :func:`repro.obs.collector.freeze`): the analysis just built, and
+        everything older, leaves the collector's view.
+        Sound only because entries are acyclic — a frozen object that
+        becomes unreachable is still freed by its reference count."""
         with self._lock:
             existing = self._entries.get(key)
             if existing is not None:
                 self._entries.move_to_end(key)
-                return existing
+                return existing.analysis
             if self.capacity <= 0:
                 return analysis
-            self._entries[key] = analysis
+            self._entries[key] = _Entry(analysis)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-            return analysis
+        collector.freeze()
+        return analysis
+
+    def slice_memo(
+        self, analysis: ProgramAnalysis, make: Callable[[], "SliceMemo"]
+    ) -> "SliceMemo":
+        """The slice memo of *analysis*'s entry, made by *make* on first
+        use.  An analysis that is not (or no longer) the cached one for
+        its key gets a fresh memo that nothing keeps."""
+        with self._lock:
+            entry = self._entries.get(analysis._content_key)
+            if entry is None or entry.analysis is not analysis:
+                return make()
+            if entry.memo is None:
+                entry.memo = make()
+            return entry.memo
 
     def get_or_build(
         self,
@@ -170,9 +210,6 @@ class AnalysisCache:
                     dominator_algorithm=dominator_algorithm,
                 )
             if self.prewarm:
-                # Force the lazy fields so the shared object is frozen.
-                analysis.augmented_cfg  # noqa: B018
-                analysis.augmented_pdg  # noqa: B018
                 analysis.pdg.ensure_closure_index()
             analysis._content_key = key
             analysis = self.put(key, analysis)
@@ -267,10 +304,14 @@ class SliceMemo:
     Degraded (budget-downgraded) results must never be stored — the
     engine only calls :meth:`put` on the successful exact path.
 
-    Lifetime: the memo hangs off ``ProgramAnalysis._slice_memo``, so
-    evicting the analysis from the :class:`AnalysisCache` drops its memo
-    with it and an ``id()`` recycle can never alias another program's
-    slices.  Counters live in a shared :class:`SliceCacheStats`.
+    Lifetime: the memo hangs off the analysis's :class:`AnalysisCache`
+    entry (:meth:`AnalysisCache.slice_memo`), so evicting the analysis
+    drops its memo with it, and an entry serves its memo only to the
+    very analysis object it holds, so a rebuilt or recycled analysis
+    can never alias another's slices.  The memo's results point at the
+    analysis, but nothing points from the analysis back at the memo, so
+    the entry stays acyclic.  Counters live in a shared
+    :class:`SliceCacheStats`.
     """
 
     def __init__(

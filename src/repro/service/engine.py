@@ -28,6 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.analysis.lexical import is_structured_program
 from repro.lang.errors import SlangError, SliceError
 from repro.metrics import output_criteria, slice_based_metrics
+from repro.obs import collector
 from repro.obs.tracer import (
     Tracer,
     phase_totals,
@@ -79,7 +80,7 @@ from repro.service.resilience import (
     current_budget,
     use_budget,
 )
-from repro.service.stats import ServiceStats
+from repro.service.stats import MAX_EXEMPLARS, ServiceStats
 from repro.slicing.criterion import SlicingCriterion
 from repro.slicing.registry import (
     CORRECT_STRUCTURED,
@@ -251,7 +252,7 @@ class SlicingEngine:
     """
 
     #: How many slow-request exemplar traces are retained (newest win).
-    MAX_EXEMPLARS = 8
+    MAX_EXEMPLARS = MAX_EXEMPLARS
 
     #: Bound of each per-analysis slice memo (entries, LRU).  ``all``-
     #: mode criterion families on big generated programs run a few
@@ -285,7 +286,7 @@ class SlicingEngine:
         self._exemplars: List[Dict[str, Any]] = []
         self._exemplar_lock = threading.Lock()
         self.slice_cache_stats = SliceCacheStats()
-        self._memo_create_lock = threading.Lock()
+        collector.install()
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="slang-worker"
         )
@@ -326,23 +327,15 @@ class SlicingEngine:
             max_nodes=budget.max_nodes if budget is not None else None,
         )
 
-    def _memo_for(self, analysis: ProgramAnalysis) -> SliceMemo:
-        """The per-analysis slice memo, created on first use.
+    def _new_memo(self) -> SliceMemo:
+        return SliceMemo(self.SLICE_MEMO_CAPACITY, self.slice_cache_stats)
 
-        The memo lives on the analysis object itself (see
-        :class:`SliceMemo` for the lifetime/soundness argument); the
-        engine only supplies the capacity and the shared counters.
-        """
-        memo = analysis._slice_memo
-        if memo is None:
-            with self._memo_create_lock:
-                memo = analysis._slice_memo
-                if memo is None:
-                    memo = SliceMemo(
-                        self.SLICE_MEMO_CAPACITY, self.slice_cache_stats
-                    )
-                    analysis._slice_memo = memo
-        return memo
+    def _memo_for(self, analysis: ProgramAnalysis) -> SliceMemo:
+        """The per-analysis slice memo, kept on the analysis's cache
+        entry (see :class:`SliceMemo` for the lifetime/soundness
+        argument); the engine only supplies the capacity and the shared
+        counters."""
+        return self.cache.slice_memo(analysis, self._new_memo)
 
     def slice_cached(
         self,
@@ -560,6 +553,7 @@ class SlicingEngine:
             exemplar = {
                 "op": request.op,
                 "id": request.id,
+                "finished_at": round(time.time(), 6),
                 "seconds": round(elapsed, 6),
                 "ok": bool(envelope.get("ok")),
                 "trace": tree,
@@ -883,6 +877,7 @@ class SlicingEngine:
         payload["slice_cache"] = self.slice_cache_stats.stats()
         payload["incremental"] = self.cache.unit_cache.snapshot()
         payload["admission"] = self.gate.snapshot()
+        payload["gc"] = collector.snapshot()
         if self.store is not None:
             payload["store"] = self.store.stats()
         if self.faults is not None:

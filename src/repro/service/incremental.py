@@ -28,8 +28,8 @@ covers exactly what its analysis consumes:
 An edit to one procedure then salvages every untouched unit's analysis
 from the :class:`UnitCache`: the cached CFG/PDT/LST/CDG/DDG/PDG objects
 are shared into a fresh :class:`ProgramAnalysis` *shell* (new program
-object, fresh slice memo / SDG / content-key slots, so nothing staled
-can leak across programs), and the PDG's condensed closure index —
+object, fresh SDG / content-key slots, and a slice memo of its own on
+its cache entry, so nothing staled can leak across programs), and the PDG's condensed closure index —
 built lazily on the shared graph — survives the edit with it.
 
 Interprocedural programs additionally reuse the *stitched* per-unit
@@ -431,8 +431,8 @@ class UnitCache:
     stitched graphs).  The cached ``ProgramAnalysis`` objects are safe
     to share for the same reason the analysis cache's are: immutable
     after construction (DESIGN.md §7), with per-program mutable slots
-    (slice memo, SDG, content key) living on the *shells*, never on the
-    cached record.
+    (SDG, content key, unit bookkeeping) living on the *shells*, never
+    on the cached record.
     """
 
     def __init__(
@@ -636,7 +636,9 @@ def incremental_analyze(
             chain_io=chain_io,
             dominator_algorithm=dominator_algorithm,
         )
-        cache.put_unit(digests[MAIN_UNIT], analysis)
+        # The cache keeps a shell: the analysis points at the cache, so
+        # holding the analysis itself would close a cycle.
+        cache.put_unit(digests[MAIN_UNIT], analysis.rebind(program))
     analysis._unit_digests = digests
     analysis._unit_cache = cache
     return analysis

@@ -24,7 +24,11 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.obs.prom import FAMILIES, HISTOGRAMS, MAX, RATE, SUM
+from repro.obs.prom import FAMILIES, HISTOGRAMS, MAX, RATE, SCALAR, SUM
+
+#: How many slow-request exemplar traces an engine retains, and a
+#: cluster merge keeps (newest win).
+MAX_EXEMPLARS = 8
 
 #: Upper bucket bounds in seconds (the last bucket is +inf).
 DEFAULT_BUCKETS = (
@@ -213,6 +217,41 @@ def _merge_histogram_snapshots(
     )
 
 
+def _merge_maps(shape: str, maps: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """Add ``{key: count}`` maps (or histogram snapshots) key by key."""
+    combined: Dict[str, Any] = {}
+    for source in maps:
+        for key, value in source.items():
+            if shape == HISTOGRAMS:
+                _merge_histogram_snapshots(combined.setdefault(key, {}), value)
+            else:
+                total = combined.get(key, 0) + value
+                combined[key] = (
+                    round(total, 6) if isinstance(total, float) else total
+                )
+    return dict(sorted(combined.items()))
+
+
+def _merge_faults(snapshots: List[Any]) -> Optional[Dict[str, Any]]:
+    """Fold the workers' fault-plan snapshots: every worker runs the
+    same plan, so rules match by position and their ``seen``/``fired``
+    counts add.  ``None`` when no worker reports a plan."""
+    snapshots = [snapshot for snapshot in snapshots if isinstance(snapshot, dict)]
+    if not snapshots:
+        return None
+    rules: Dict[Any, Dict[str, Any]] = {}
+    for snapshot in snapshots:
+        for position, rule in enumerate(snapshot.get("rules") or []):
+            key = (position, rule["kind"], rule["op"], rule["algorithm"])
+            into = rules.get(key)
+            if into is None:
+                rules[key] = dict(rule)
+            else:
+                into["seen"] += rule["seen"]
+                into["fired"] += rule["fired"]
+    return {"seed": snapshots[0].get("seed"), "rules": list(rules.values())}
+
+
 def _combine(rule: str, values: List[Any]) -> Any:
     if rule == SUM:
         # None is an unlimited bound (``max_inflight``): it absorbs.
@@ -231,7 +270,9 @@ def merge_stats_payloads(
     counter maps and histogram snapshots add key by key; tier fields
     sum, max (``uptime_seconds``, the shared store's ``bytes``) or take
     the first worker's value; hit rates are recomputed from the merged
-    totals.  A tier no worker reports stays absent.
+    totals.  A tier no worker reports stays absent.  Two keys have rules
+    of their own: ``faults`` adds per-rule counts, and ``exemplars``
+    keeps the newest :data:`MAX_EXEMPLARS` span trees of all workers.
     """
     payloads = [payload for payload in payloads if isinstance(payload, dict)]
     merged: Dict[str, Any] = {}
@@ -243,16 +284,9 @@ def merge_stats_payloads(
             values = [payload[field] for payload in payloads if field in payload]
             merged[field] = _combine(rule, values)
         elif field is None:
-            combined: Dict[str, Any] = {}
-            for payload in payloads:
-                for key, value in (payload.get(tier) or {}).items():
-                    if family.shape == HISTOGRAMS:
-                        _merge_histogram_snapshots(
-                            combined.setdefault(key, {}), value
-                        )
-                    else:
-                        combined[key] = combined.get(key, 0) + value
-            merged[tier] = dict(sorted(combined.items()))
+            merged[tier] = _merge_maps(
+                family.shape, [payload.get(tier) or {} for payload in payloads]
+            )
         else:
             tiers = [
                 payload[tier]
@@ -267,9 +301,25 @@ def merge_stats_payloads(
                 total = hits + misses
                 out[field] = round(hits / total, 4) if total else 0.0
                 continue
+            if family.shape != SCALAR:
+                out[field] = _merge_maps(
+                    family.shape, [stats.get(field) or {} for stats in tiers]
+                )
+                continue
             values = [stats[field] for stats in tiers if field in stats]
             if values:
                 out[field] = _combine(rule, values)
+    faults = _merge_faults([payload.get("faults") for payload in payloads])
+    if faults is not None:
+        merged["faults"] = faults
+    if any("exemplars" in payload for payload in payloads):
+        exemplars = [
+            exemplar
+            for payload in payloads
+            for exemplar in payload.get("exemplars") or []
+        ]
+        exemplars.sort(key=lambda exemplar: exemplar.get("finished_at", 0.0))
+        merged["exemplars"] = exemplars[-MAX_EXEMPLARS:]
     return merged
 
 

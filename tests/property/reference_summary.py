@@ -106,7 +106,9 @@ def reference_sdg(
     offset = 0
     for unit in graph.units:
         if unit == MAIN_UNIT and main_analysis is not None:
-            analysis = main_analysis
+            # A shell, as the production builder keeps: callers memoize
+            # this SDG on main_analysis, which must not close a cycle.
+            analysis = main_analysis.rebind(program)
         else:
             analysis = analyze_program(
                 program, unit=None if unit == MAIN_UNIT else unit

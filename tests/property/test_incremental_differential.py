@@ -36,7 +36,7 @@ from repro.lang.errors import SliceError
 from repro.lang.parser import parse_program
 from repro.lang.pretty import pretty
 from repro.pdg.builder import analyze_program
-from repro.service.cache import AnalysisCache
+from repro.service.cache import AnalysisCache, SliceMemo
 from repro.service.incremental import UnitCache, incremental
 from repro.service.protocol import slice_result_payload
 from repro.slicing.criterion import SlicingCriterion
@@ -198,9 +198,9 @@ class TestFormattingInvariance:
         assert stats["slices_salvaged"] >= 1
 
     def test_shells_never_share_mutable_slots(self):
-        """The salvaged shell starts with empty memo/SDG/content-key
-        slots — a stale slice memo or SDG can never leak across
-        programs."""
+        """The salvaged shell starts with empty SDG/content-key slots
+        and gets a slice memo of its own — a stale slice memo or SDG
+        can never leak across programs."""
         source = pretty(generate_interprocedural(random.Random(11)))
         program = parse_program(source)
         cache = AnalysisCache(capacity=8, unit_cache=UnitCache())
@@ -209,10 +209,11 @@ class TestFormattingInvariance:
         get_algorithm("interprocedural")(
             first, SlicingCriterion(line=line, var=var)
         )
-        first._slice_memo = object()
+        memo = cache.slice_memo(first, lambda: SliceMemo(4))
         lines = source.splitlines()
         lines[0] += "  // edited"
         second = cache.get_or_build("\n".join(lines) + "\n")
-        assert second._slice_memo is None
+        assert cache.slice_memo(second, lambda: SliceMemo(4)) is not memo
+        assert cache.slice_memo(first, lambda: SliceMemo(4)) is memo
         assert getattr(second, "_sdg", None) is None
         assert second._content_key != first._content_key

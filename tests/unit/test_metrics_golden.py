@@ -31,8 +31,9 @@ def test_rendering_matches_golden(name):
 
 
 def _live_payload(tmp_path):
-    """A full engine ``stats_payload()``: every tier plus the store,
-    interprocedural slices, a lint check and a traced request."""
+    """A full engine ``stats_payload()``: every tier plus the store, a
+    fault plan and exemplars, interprocedural slices, a lint check and
+    a traced request."""
     from repro.corpus import PAPER_PROGRAMS
     from repro.service.engine import SlicingEngine
     from repro.service.store import DurableStore
@@ -54,8 +55,15 @@ def _live_payload(tmp_path):
         {"op": "check", "source": entry.source},
         {"op": "slice", "source": entry.source, "line": 999, "var": var},
     ]
+    from repro.service.faults import FaultPlan
+
+    plan = FaultPlan.from_dict(
+        {"rules": [{"kind": "exhaust-budget", "op": "compare", "every": 1}]}
+    )
     with SlicingEngine(
-        store=DurableStore(str(tmp_path), fsync=False)
+        store=DurableStore(str(tmp_path), fsync=False),
+        faults=plan,
+        slow_trace_seconds=0,
     ) as engine:
         for request in requests:
             engine.handle_payload({"version": 1, **request})
@@ -87,8 +95,10 @@ def test_single_worker_merge_is_the_identity_on_tiers(tmp_path):
     merged = merge_stats_payloads([payload])
     for tier in ("uptime_seconds", "requests", "errors", "events",
                  "diagnostics", "cache", "slice_cache", "incremental",
-                 "admission", "store"):
+                 "admission", "store", "faults", "exemplars"):
         assert merged[tier] == payload[tier], tier
+    # The collector tier moves between two reads; its shape must not.
+    assert merged["gc"].keys() == payload["gc"].keys()
     for tier in ("latency", "phases"):
         assert merged[tier].keys() == payload[tier].keys(), tier
         for key, histogram in payload[tier].items():

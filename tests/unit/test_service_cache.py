@@ -71,12 +71,54 @@ class TestLRU:
 
 
 class TestPrewarm:
-    def test_prewarm_freezes_lazy_fields(self):
+    def test_prewarm_freezes_lazy_fields(self, monkeypatch):
+        """The augmented graphs are no longer prewarmed: only the
+        Ball–Horwitz family reads them.  The contract that replaces the
+        prewarm is that threads racing on a shared analysis's first use
+        build each of them exactly once."""
+        import time
+
+        import repro.pdg.builder as builder
+
+        builds = {"cfg": 0, "pdg": 0}
+
+        def counting(kind, build):
+            def wrapper(*args, **kwargs):
+                builds[kind] += 1
+                time.sleep(0.02)  # widen the race window
+                return build(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            builder, "build_augmented_cfg",
+            counting("cfg", builder.build_augmented_cfg),
+        )
+        monkeypatch.setattr(
+            builder, "build_augmented_pdg",
+            counting("pdg", builder.build_augmented_pdg),
+        )
         cache = AnalysisCache(capacity=2, prewarm=True)
         analysis = cache.get_or_build(FIG3A)
-        assert analysis._augmented_cfg is not None
-        assert analysis._augmented_pdg is not None
+        assert analysis._augmented_cfg is None
+        assert analysis._augmented_pdg is None
         assert analysis.reaching is not None
+        barrier = threading.Barrier(6)
+        seen = []
+
+        def first_use():
+            barrier.wait()
+            seen.append((analysis.augmented_cfg, analysis.augmented_pdg))
+
+        threads = [threading.Thread(target=first_use) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert len(seen) == 6
+        assert builds == {"cfg": 1, "pdg": 1}
+        assert len({(id(cfg), id(pdg)) for cfg, pdg in seen}) == 1
 
 
 class TestThreadSafety:

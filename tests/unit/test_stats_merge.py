@@ -169,3 +169,71 @@ class TestHistograms:
         assert latency["mean_seconds"] == expected["mean_seconds"]
         assert merged["phases"]["parse"]["count"] == 6
         assert sum(merged["phases"]["parse"]["buckets"].values()) == 6
+
+
+class TestFaultsAndExemplars:
+    """``faults`` and ``exemplars`` are lists, not table rows: each has a
+    merge rule of its own."""
+
+    @staticmethod
+    def _engine_payload():
+        from repro.corpus import PAPER_PROGRAMS
+        from repro.service.engine import SlicingEngine
+        from repro.service.faults import FaultPlan
+
+        entry = PAPER_PROGRAMS["fig3a"]
+        line, var = entry.criterion
+        plan = FaultPlan.from_dict(
+            {"rules": [{"kind": "exhaust-budget", "op": "slice", "every": 1}]}
+        )
+        with SlicingEngine(faults=plan, slow_trace_seconds=0) as engine:
+            engine.handle_payload(
+                {"version": 1, "op": "slice", "source": entry.source,
+                 "line": line, "var": var}
+            )
+            return engine.stats_payload()
+
+    def test_one_worker_keeps_both(self):
+        payload = self._engine_payload()
+        assert payload["faults"]["rules"][0]["fired"] == 1
+        assert payload["exemplars"]
+        merged = merge_stats_payloads([payload])
+        assert merged["faults"] == payload["faults"]
+        assert merged["exemplars"] == payload["exemplars"]
+
+    def test_rule_counts_add(self):
+        def plan(seen, fired):
+            return {"seed": 7, "rules": [
+                {"kind": "exhaust-budget", "op": "slice",
+                 "algorithm": None, "seen": seen, "fired": fired},
+                {"kind": "raise", "op": None, "algorithm": "weiser",
+                 "seen": 2 * seen, "fired": 0},
+            ]}
+
+        merged = merge_stats_payloads(
+            [_worker(faults=plan(3, 1)), _worker(), _worker(faults=plan(5, 2))]
+        )
+        assert merged["faults"] == {"seed": 7, "rules": [
+            {"kind": "exhaust-budget", "op": "slice", "algorithm": None,
+             "seen": 8, "fired": 3},
+            {"kind": "raise", "op": None, "algorithm": "weiser",
+             "seen": 16, "fired": 0},
+        ]}
+
+    def test_newest_exemplars_win(self):
+        from repro.service.stats import MAX_EXEMPLARS
+
+        def ring(times):
+            return [{"op": "slice", "finished_at": at} for at in times]
+
+        first = _worker(exemplars=ring(range(0, 2 * MAX_EXEMPLARS, 2)))
+        second = _worker(exemplars=ring(range(1, 2 * MAX_EXEMPLARS, 2)))
+        merged = merge_stats_payloads([first, second])
+        assert [e["finished_at"] for e in merged["exemplars"]] == list(
+            range(MAX_EXEMPLARS, 2 * MAX_EXEMPLARS)
+        )
+
+    def test_absent_when_no_worker_reports_them(self):
+        merged = merge_stats_payloads([_worker(), _worker()])
+        assert "faults" not in merged
+        assert "exemplars" not in merged

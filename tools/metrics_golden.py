@@ -3,7 +3,8 @@
 Builds fixed ``/stats`` payloads that populate every metric family —
 labelled requests and errors, every ``sdg:*`` and ``sdg-index:*``
 event, latency and phase histograms, all four engine tiers plus the
-durable store — and pins three renderings in ``tests/golden/metrics/``:
+durable store and the collector — and pins three renderings in
+``tests/golden/metrics/``:
 
 * ``engine.prom``: :func:`render_prometheus` of one worker payload;
 * ``cluster.json``: :func:`merge_stats_payloads` of two worker
@@ -132,6 +133,11 @@ def worker_payload(shard: int) -> Dict[str, Any]:
         "quarantined": 1 - shard,
         "errors": shard,
         "hit_rate": _rate(3 + shard, 4 * scale),
+    }
+    payload["gc"] = {
+        "collections": {"0": 120 * scale, "1": 11 * scale, "2": shard},
+        "pause_seconds": {"0": 0.0625 * scale, "1": 0.015625, "2": 0.25 * shard},
+        "frozen_objects": 50000 + 1000 * shard,
     }
     return payload
 
