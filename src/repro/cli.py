@@ -448,7 +448,7 @@ def _make_engine(args: argparse.Namespace):
     threads = getattr(args, "threads", None)
     if threads is None:
         threads = getattr(args, "workers", None)
-    cache = AnalysisCache(capacity=args.cache_size, prewarm=True)
+    cache = AnalysisCache(capacity=args.cache_size)
     return SlicingEngine(
         cache=cache,
         workers=threads,

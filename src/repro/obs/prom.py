@@ -166,10 +166,6 @@ def _stats_only(tier, field, merge) -> Family:
     return Family(None, "", "", tier, field, merge=merge)
 
 
-def _event(name, event, help_text) -> Family:
-    return _counter(name, help_text, "events", event, merge=None)
-
-
 #: Every metric family, in exposition order.  Adding a counter to a
 #: tier is one row here: the renderer, the cluster merge and
 #: :class:`repro.service.incremental.IncrementalStats` all read it.
@@ -184,25 +180,6 @@ FAMILIES: Tuple[Family, ...] = (
              "Resilience outcomes (shed, budget-exceeded, degraded, "
              "retry...).",
              "events", None, shape=LABELLED, label="event"),
-    _event("slang_sdg_procedures_total", "sdg:procedures",
-           "Procedures analysed into system dependence graphs."),
-    _event("slang_sdg_summary_edges_total", "sdg:summary-edges",
-           "Summary edges computed across all SDG builds."),
-    _event("slang_sdg_pass1_visits_total", "sdg:pass1-visits",
-           "Vertices marked by interprocedural slicing pass 1."),
-    _event("slang_sdg_pass2_visits_total", "sdg:pass2-visits",
-           "Vertices marked by interprocedural slicing pass 2."),
-    _event("slang_sdg_index_builds_total", "sdg-index:builds",
-           "Whole-SDG closure indexes built (ascend + descend sides)."),
-    _event("slang_sdg_index_mask_hits_total", "sdg-index:mask-hits",
-           "Two-pass fixpoints answered from closure-index mask lookups."),
-    _event("slang_sdg_index_pressure_skips_total", "sdg-index:pressure-skips",
-           "SDG index builds deferred under deadline pressure "
-           "(worklist fallback served the slice)."),
-    _event("slang_sdg_index_incremental_salvages_total",
-           "sdg-index:incremental-salvages",
-           "Whole-SDG closure indexes salvaged from the unit cache "
-           "across edits."),
     _counter("slang_diagnostics_total",
              "Lint diagnostics emitted, by stable code.",
              "diagnostics", None, shape=LABELLED, label="code"),
@@ -261,12 +238,6 @@ FAMILIES: Tuple[Family, ...] = (
     _counter("slang_incremental_slices_salvaged_total",
              "Interprocedural slice results replayed across edits.",
              "incremental", "slices_salvaged"),
-    _counter("slang_incremental_indexes_salvaged_total",
-             "Whole-SDG closure indexes replayed across edits.",
-             "incremental", "indexes_salvaged"),
-    _counter("slang_incremental_store_unit_hits_total",
-             "Durable-store reads answered via the per-unit sub-key.",
-             "incremental", "store_unit_hits"),
     _gauge("slang_incremental_entries", "Unit analyses currently cached.",
            "incremental", "entries"),
     _gauge("slang_incremental_stitched_entries",
@@ -278,9 +249,6 @@ FAMILIES: Tuple[Family, ...] = (
     _gauge("slang_incremental_slice_entries",
            "Slice results currently held for salvage.",
            "incremental", "slice_entries"),
-    _gauge("slang_incremental_index_entries",
-           "Whole-SDG closure indexes currently held for salvage.",
-           "incremental", "index_entries"),
     # The durable store is one directory shared by every worker: its
     # byte gauge takes the max, its activity counters add.
     _stats_only("store", "root", FIRST),

@@ -43,18 +43,14 @@ Lifecycle mirrors :mod:`repro.pdg.closure`: lazily built behind the same
 ``--closure-index`` knob (plus an SDG-only override for differential
 benchmarks), budget-ticked under the ``closure-index`` phase, traced,
 skipped under deadline pressure, and invalidated when the stitched
-graphs mutate.  Incremental programs additionally salvage the whole
-index from the unit cache under the program's unit-digest vector plus
-its per-unit formal-dependence pairs — the same assumptions the summary
-edges were computed under.  Any semantic edit changes a unit digest and
-therefore rebuilds; recursive SCCs carry no special case because the
-whole-graph index never survives *any* digest change.
+graphs mutate.  Each SDG builds its own index: an edited program gets a
+new SDG and so a new index, while the per-unit PDG indexes inside it
+survive the edit with their salvaged units (DESIGN.md §14).
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.bitset import iter_bits, popcount as _popcount
@@ -336,44 +332,20 @@ def build_sdg_closure_index(sdg: SDGAnalysis) -> SDGClosureIndex:
 
 
 # ---------------------------------------------------------------------------
-# Lifecycle: knob, pressure, invalidation, build lock, salvage
+# Lifecycle: knob, pressure, invalidation, build lock
 # ---------------------------------------------------------------------------
 
 
-def _salvage_key(analysis, sdg: SDGAnalysis) -> Tuple[Optional[object], Optional[str]]:
-    """(unit cache, cache key) for whole-index salvage, or (None, None).
-
-    The key covers the unit-digest vector (the program modulo
-    formatting, under the same analysis options) plus every unit's
-    formal-dependence pairs — the exact assumptions the summary edges
-    rest on.  Equal digests imply the identical stitched SDG (same node
-    ids, offsets, and summary-edge least fixpoint), so replaying the
-    index is sound; any semantic edit changes a digest and misses.
-    """
-    from repro.service.incremental import incremental_enabled, units_digest
-
-    if analysis is None or analysis._unit_cache is None or not incremental_enabled():
-        return None, None
-    pairs = sdg.unit_pairs
-    digest = hashlib.sha256()
-    digest.update(b"sdg-index|v1|")
-    digest.update(units_digest(analysis._unit_digests).encode("utf-8"))
-    for unit in sorted(pairs):
-        joined = ",".join(f"{i}:{j}" for i, j in sorted(pairs[unit]))
-        digest.update(f"|{unit}=[{joined}]".encode("utf-8"))
-    return analysis._unit_cache, digest.hexdigest()
-
-
 def ensure_sdg_index(
-    sdg: SDGAnalysis, analysis=None
+    sdg: SDGAnalysis,
 ) -> Tuple[Optional[SDGClosureIndex], Dict[str, int]]:
     """Return (index, events) — the memoized index when fresh, else a
-    salvaged or newly built one; ``None`` when disabled or deferred
-    under deadline pressure (callers then take the worklist path).
+    newly built one; ``None`` when disabled or deferred under deadline
+    pressure (callers then take the worklist path).
 
     ``events`` counts what happened this call under the service's
-    ``sdg-index:*`` event names (``builds``, ``incremental-salvages``,
-    ``pressure-skips``), which ``slang_sdg_index_*`` exports.
+    ``sdg-index:*`` event names (``builds``, ``pressure-skips``), which
+    ``slang_events_total`` exports.
     """
     events: Dict[str, int] = {}
     if not sdg_index_enabled():
@@ -389,21 +361,7 @@ def ensure_sdg_index(
         index = sdg._closure_index
         if index is not None and index.signature == signature:
             return index, events
-        cache, key = _salvage_key(analysis, sdg)
-        index = None
-        if cache is not None:
-            cached = cache.get_index(key)
-            if (
-                cached is not None
-                and cached.signature == signature
-            ):
-                index = cached
-                events["sdg-index:incremental-salvages"] = 1
-                cache.stats.record("indexes_salvaged")
-        if index is None:
-            index = build_sdg_closure_index(sdg)
-            events["sdg-index:builds"] = 1
-            if cache is not None:
-                cache.put_index(key, index)
+        index = build_sdg_closure_index(sdg)
+        events["sdg-index:builds"] = 1
         sdg._closure_index = index
     return index, events

@@ -479,18 +479,11 @@ class _TwoPassState:
 
 
 def sdg_slice(
-    sdg: SDGAnalysis,
-    criterion: SlicingCriterion,
-    analysis: Optional[ProgramAnalysis] = None,
+    sdg: SDGAnalysis, criterion: SlicingCriterion
 ) -> SDGSliceResult:
-    """Slice *sdg* with respect to *criterion* (see module docstring).
-
-    ``analysis`` (when the caller has it) carries the incremental
-    bookkeeping that lets the whole-SDG closure index be salvaged from
-    the unit cache instead of rebuilt.
-    """
+    """Slice *sdg* with respect to *criterion* (see module docstring)."""
     resolved = resolve_sdg_criterion(sdg, criterion)
-    index, index_events = ensure_sdg_index(sdg, analysis)
+    index, index_events = ensure_sdg_index(sdg)
     with trace_span(
         "sdg-slice", unit=resolved.unit, indexed=index is not None
     ) as span:
@@ -571,7 +564,7 @@ def interprocedural_slice(
     salvaged = salvage_sdg_slice(analysis, sdg, criterion)
     if salvaged is not None:
         return salvaged.as_slice_result()
-    result = sdg_slice(sdg, criterion, analysis=analysis)
+    result = sdg_slice(sdg, criterion)
     # Record without the index events: a future replay of this result
     # did no index work, and must not re-report it.
     record_sdg_slice(

@@ -14,8 +14,10 @@ may both build it — the first to finish wins, the loser's artefact is
 dropped — which keeps the fast path lock-light without double-counting
 evictions.  The cached artefacts themselves are safe to share because
 ``ProgramAnalysis`` is immutable after construction (see DESIGN.md §7);
-its only lazy fields, the Ball–Horwitz augmented graphs, are built on
-first use under a per-analysis lock.
+its lazy fields are built on first use: the Ball–Horwitz augmented
+graphs under a per-analysis lock, and the PDG's closure index by the
+first slice that reads it (interprocedural slicing never does), with a
+single assignment so a racing reader sees nothing or the whole index.
 
 Each entry holds an analysis and that analysis's slice memo, and no
 part of an entry points back at it, so an evicted entry is freed by
@@ -78,9 +80,6 @@ class AnalysisCache:
         Maximum number of cached analyses; the least recently used entry
         is evicted when a new program would exceed it.  ``capacity <= 0``
         disables caching (every request rebuilds).
-    prewarm:
-        When true, build the PDG's closure index at build time, so the
-        first slice of a new program does not pay for it.
     unit_cache:
         The per-procedure :class:`~repro.service.incremental.UnitCache`
         behind the whole-program entries; a default-sized one is
@@ -94,11 +93,9 @@ class AnalysisCache:
     def __init__(
         self,
         capacity: int = 128,
-        prewarm: bool = False,
         unit_cache: Optional[UnitCache] = None,
     ) -> None:
         self.capacity = capacity
-        self.prewarm = prewarm
         self.unit_cache = unit_cache if unit_cache is not None else UnitCache()
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._lock = threading.Lock()
@@ -209,8 +206,6 @@ class AnalysisCache:
                     chain_io=chain_io,
                     dominator_algorithm=dominator_algorithm,
                 )
-            if self.prewarm:
-                analysis.pdg.ensure_closure_index()
             analysis._content_key = key
             analysis = self.put(key, analysis)
         if max_nodes is not None and len(analysis.cfg.nodes) > max_nodes:

@@ -43,7 +43,6 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
-import math
 import os
 import random
 import selectors
@@ -54,21 +53,19 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.prom import PROM_CONTENT_TYPE, render_prometheus
+from repro.service.edge import MAX_BODY_BYTES, EdgeHandler, retry_after_header
 from repro.service.protocol import (
     ProtocolError,
     capabilities_payload,
     dump_json,
     error_envelope,
 )
-from repro.service.resilience import OverloadedError, PayloadTooLargeError
+from repro.service.resilience import OverloadedError
 from repro.service.stats import merge_stats_payloads
-
-#: Front-door body cap (mirrors the single-process server's).
-MAX_BODY_BYTES = 8 * 1024 * 1024
 
 _HANDSHAKE_PREFIX = b"SLANG_WORKER_PORT="
 
@@ -477,8 +474,11 @@ class ClusterSupervisor:
         body: Optional[bytes] = None,
         timeout: Optional[float] = None,
         count_request: bool = True,
+        request_id: Optional[str] = None,
     ) -> Tuple[int, Dict[str, str], bytes]:
-        """One exchange with a worker: ``(status, headers, body)``."""
+        """One exchange with a worker: ``(status, headers, body)``.
+        *request_id* travels as ``X-Request-Id``, so the worker's logs
+        and traces carry the id the client sees."""
         if worker.port is None:
             raise OSError("worker has no port (restarting)")
         if count_request:
@@ -493,6 +493,8 @@ class ClusterSupervisor:
             headers = {}
             if body is not None:
                 headers["Content-Type"] = "application/json; charset=utf-8"
+            if request_id is not None:
+                headers["X-Request-Id"] = request_id
             conn.request(method, path, body=body, headers=headers)
             response = conn.getresponse()
             data = response.read()
@@ -501,7 +503,11 @@ class ClusterSupervisor:
             conn.close()
 
     def proxy(
-        self, op: str, body: bytes, source: Optional[str]
+        self,
+        op: str,
+        body: bytes,
+        source: Optional[str],
+        request_id: Optional[str] = None,
     ) -> Tuple[int, Dict[str, str], bytes]:
         """Route one POST to its shard; a dead shard answers retryable.
 
@@ -516,7 +522,9 @@ class ClusterSupervisor:
                 self._workers[0],
             )
         try:
-            return self._forward(worker, "POST", f"/{op}", body)
+            return self._forward(
+                worker, "POST", f"/{op}", body, request_id=request_id
+            )
         except (OSError, http.client.HTTPException) as error:
             with self._lock:
                 worker.proxy_errors += 1
@@ -531,16 +539,12 @@ class ClusterSupervisor:
             )
             return (
                 503,
-                {
-                    "Retry-After": str(
-                        max(1, math.ceil(self.config.retry_after))
-                    )
-                },
+                retry_after_header(self.config.retry_after),
                 dump_json(envelope).encode("utf-8"),
             )
 
     def run_batch_sharded(
-        self, requests: List[Any]
+        self, requests: List[Any], request_id: Optional[str] = None
     ) -> List[Dict[str, Any]]:
         """Split one batch by shard, forward sub-batches concurrently,
         merge responses back into input order."""
@@ -565,7 +569,9 @@ class ClusterSupervisor:
                 {"requests": [requests[index] for index in indices]}
             ).encode("utf-8")
             try:
-                status, _, data = self._forward(worker, "POST", "/batch", body)
+                status, _, data = self._forward(
+                    worker, "POST", "/batch", body, request_id=request_id
+                )
                 payload = json.loads(data.decode("utf-8"))
                 members = payload["responses"]
                 if status != 200 or len(members) != len(indices):
@@ -663,11 +669,10 @@ class _SupervisorHTTPServer(ThreadingHTTPServer):
         super().serve_forever(poll_interval)
 
 
-class _SupervisorHandler(BaseHTTPRequestHandler):
+class _SupervisorHandler(EdgeHandler):
     """The front door: shard-and-forward POSTs, aggregate GETs."""
 
     server_version = "slang-cluster/1"
-    protocol_version = "HTTP/1.1"
 
     @property
     def supervisor(self) -> ClusterSupervisor:
@@ -675,34 +680,6 @@ class _SupervisorHandler(BaseHTTPRequestHandler):
 
     def log_message(self, format: str, *args: Any) -> None:
         pass  # worker-level logs carry the signal; the proxy stays quiet
-
-    def _send_body(
-        self,
-        body: bytes,
-        content_type: str,
-        status: int = 200,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(
-        self,
-        payload: Dict[str, Any],
-        status: int = 200,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        self._send_body(
-            dump_json(payload).encode("utf-8"),
-            "application/json; charset=utf-8",
-            status=status,
-            headers=headers,
-        )
 
     def do_GET(self) -> None:  # noqa: N802 — http.server naming
         path = self.path.split("?", 1)[0]
@@ -718,9 +695,7 @@ class _SupervisorHandler(BaseHTTPRequestHandler):
                 self._send_json(
                     payload,
                     status=503,
-                    headers={
-                        "Retry-After": str(max(1, math.ceil(retry_after)))
-                    },
+                    headers=retry_after_header(retry_after),
                 )
         elif path == "/stats":
             self._send_json(supervisor.stats_payload())
@@ -753,11 +728,8 @@ class _SupervisorHandler(BaseHTTPRequestHandler):
                 status=404,
             )
             return
-        try:
-            body = self._read_body()
-        except PayloadTooLargeError as error:
-            status = 411 if self.headers.get("Content-Length") is None else 413
-            self._send_json(error_envelope(op, error), status=status)
+        body = self._read_announced_body(op, MAX_BODY_BYTES)
+        if body is None:
             return
         if supervisor.draining:
             retry_after = supervisor.config.retry_after
@@ -770,9 +742,7 @@ class _SupervisorHandler(BaseHTTPRequestHandler):
                     ),
                 ),
                 status=503,
-                headers={
-                    "Retry-After": str(max(1, math.ceil(retry_after)))
-                },
+                headers=retry_after_header(retry_after),
             )
             return
         if op == "batch":
@@ -797,7 +767,9 @@ class _SupervisorHandler(BaseHTTPRequestHandler):
                     status=400,
                 )
                 return
-            responses = supervisor.run_batch_sharded(requests)
+            responses = supervisor.run_batch_sharded(
+                requests, request_id=self.request_id
+            )
             self._send_json({"ok": True, "responses": responses})
             return
         source: Optional[str] = None
@@ -809,7 +781,9 @@ class _SupervisorHandler(BaseHTTPRequestHandler):
                 source = parsed["source"]
         except (ValueError, UnicodeDecodeError):
             pass  # the worker produces the structured parse error
-        status, headers, data = supervisor.proxy(op, body, source)
+        status, headers, data = supervisor.proxy(
+            op, body, source, request_id=self.request_id
+        )
         relay = {}
         if "Retry-After" in headers:
             relay["Retry-After"] = headers["Retry-After"]
@@ -822,26 +796,6 @@ class _SupervisorHandler(BaseHTTPRequestHandler):
             headers=relay,
         )
 
-    def _read_body(self) -> bytes:
-        header = self.headers.get("Content-Length")
-        if header is None:
-            raise PayloadTooLargeError(
-                "request has no Content-Length header; bodies of "
-                "unannounced size are refused"
-            )
-        try:
-            length = int(header)
-        except ValueError:
-            raise PayloadTooLargeError(
-                f"Content-Length {header!r} is not an integer"
-            ) from None
-        if length < 0 or length > MAX_BODY_BYTES:
-            raise PayloadTooLargeError(
-                f"request body of {header} bytes exceeds the "
-                f"{MAX_BODY_BYTES}-byte limit"
-            )
-        return self.rfile.read(length) if length else b""
-
 
 # -- the worker entrypoint ---------------------------------------------
 
@@ -853,7 +807,6 @@ def worker_main(config_json: str) -> int:
     plan with process exits armed), binds port 0, prints the handshake,
     and serves until SIGTERM starts the drain.
     """
-    from repro.service.cache import AnalysisCache
     from repro.service.engine import SlicingEngine
     from repro.service.faults import FaultPlan
     from repro.service.resilience import EngineLimits
@@ -872,7 +825,6 @@ def worker_main(config_json: str) -> int:
         faults = FaultPlan.from_dict(config["faults"])
         faults.allow_process_exit = True
     engine = SlicingEngine(
-        cache=AnalysisCache(capacity=128, prewarm=True),
         workers=config.get("threads"),
         limits=EngineLimits(**(config.get("limits") or {})),
         faults=faults,

@@ -44,16 +44,7 @@ from repro.service.cache import (
     SliceMemo,
     analysis_key,
 )
-from repro.service.incremental import (
-    incremental_enabled,
-    unit_fingerprints,
-    units_digest,
-)
-from repro.service.store import (
-    DurableStore,
-    payload_store_key,
-    units_store_key,
-)
+from repro.service.store import DurableStore, payload_store_key
 from repro.lint.rules import run_lint
 from repro.service.faults import FaultPlan, InjectedFaultError
 from repro.service.protocol import (
@@ -223,8 +214,8 @@ class SlicingEngine:
     Parameters
     ----------
     cache:
-        The shared :class:`AnalysisCache`; a prewarming 128-entry cache
-        is created when omitted.
+        The shared :class:`AnalysisCache`; a 128-entry cache is created
+        when omitted.
     workers:
         Thread-pool width for batch fan-out (default: executor default).
     stats:
@@ -270,9 +261,7 @@ class SlicingEngine:
         store: Optional[DurableStore] = None,
         slow_trace_seconds: Optional[float] = None,
     ) -> None:
-        self.cache = cache if cache is not None else AnalysisCache(
-            capacity=128, prewarm=True
-        )
+        self.cache = cache if cache is not None else AnalysisCache()
         self.stats = stats if stats is not None else ServiceStats()
         self.limits = limits if limits is not None else EngineLimits()
         self.faults = faults
@@ -387,30 +376,15 @@ class SlicingEngine:
         """
         if self.store is None or analysis._content_key is None:
             return
-        skey = payload_store_key(
-            analysis._content_key, algorithm, line, var, proc
+        self.store.put_json(
+            payload_store_key(
+                analysis._content_key, algorithm, line, var, proc
+            ),
+            {
+                "cfg_nodes": len(analysis.cfg.nodes),
+                "payload": slice_result_payload(result),
+            },
         )
-        wrapper = {
-            "cfg_nodes": len(analysis.cfg.nodes),
-            "payload": slice_result_payload(result),
-        }
-        digests = analysis._unit_digests
-        if digests is not None:
-            wrapper["units"] = dict(digests)
-        # The exact-source key is written first: fault injection arms
-        # corruption on the *next* put, and the chaos drill reads the
-        # exact key first — keep that the entry it poisons.
-        self.store.put_json(skey, wrapper)
-        if digests is not None:
-            # Per-unit sub-key: the same wrapper is addressable by the
-            # program's unit-fingerprint vector, so a formatting-only
-            # edit (new source hash, identical units) still hits disk.
-            self.store.put_json(
-                units_store_key(
-                    units_digest(digests), algorithm, line, var, proc
-                ),
-                wrapper,
-            )
 
     def _slice_from_store(
         self, request: SliceRequest
@@ -432,31 +406,6 @@ class SlicingEngine:
             akey, request.algorithm, request.line, request.var, request.proc
         )
         wrapper = self.store.get_json(skey)
-        if wrapper is None and incremental_enabled():
-            # Exact-source miss: retry under the per-unit sub-key — a
-            # formatting-only edit changes the source hash but not the
-            # unit fingerprints.  Parsing here is far cheaper than the
-            # analysis build a hit skips; unparseable sources fall
-            # through to the analysis path, which owns the error.
-            try:
-                from repro.lang.parser import parse_program
-
-                digests = unit_fingerprints(parse_program(request.source))
-            except SlangError:
-                digests = None
-            if digests is not None:
-                wrapper = self.store.get_json(
-                    units_store_key(
-                        units_digest(digests),
-                        request.algorithm,
-                        request.line,
-                        request.var,
-                        request.proc,
-                    )
-                )
-                if isinstance(wrapper, dict):
-                    self.cache.unit_cache.stats.record("store_unit_hits")
-                    self.stats.record_event("store-unit-hit")
         if not isinstance(wrapper, dict):
             return None
         payload = wrapper.get("payload")
@@ -488,7 +437,7 @@ class SlicingEngine:
         self.stats.record_event("sdg:pass2-visits", sdg_result.pass2_visits)
         # Whole-SDG closure-index lifecycle (repro.sdg.closure).  Slice
         # replays carry no index events, and the prewarm path reports
-        # its own, so each build/salvage/skip/lookup is counted once.
+        # its own, so each build/skip/lookup is counted once.
         for name, count in sdg_result.index_events.items():
             self.stats.record_event(name, count)
 
@@ -784,9 +733,7 @@ class SlicingEngine:
             return
         try:
             with trace_span("sdg-index-prewarm"):
-                _, events = ensure_sdg_index(
-                    sdg_for_analysis(analysis), analysis
-                )
+                _, events = ensure_sdg_index(sdg_for_analysis(analysis))
         except SlangError:
             return
         for name, count in events.items():

@@ -75,8 +75,12 @@ The process-wide knob (CLI ``--incremental on|off``) mirrors
 :mod:`repro.pdg.closure`: incremental reuse is pure acceleration — the
 differential property suite asserts node-for-node identity with a cold
 rebuild — so it defaults on.  Off, the analysis cache attaches no unit
-cache, so the SDG builder runs cold, and the index and slice salvage
-tiers stand aside.
+cache, so the SDG builder runs cold, and the slice salvage tier stands
+aside.
+
+The whole-SDG closure index is deliberately *not* a tier here: an
+edited program's SDG builds a fresh one (:mod:`repro.sdg.closure`).
+DESIGN.md §14 lists what each remaining tier saves on the edit trace.
 """
 
 from __future__ import annotations
@@ -185,17 +189,6 @@ def unit_fingerprints(
         digest.update(("lines:" + ",".join(map(str, lines))).encode("utf-8"))
         out[unit] = digest.hexdigest()
     return out
-
-
-def units_digest(fingerprints: Dict[str, str]) -> str:
-    """One digest over the whole per-unit fingerprint vector — the
-    content address of the *program modulo formatting* (plus options),
-    used for durable-store sub-keys."""
-    digest = hashlib.sha256()
-    digest.update(b"units|" + FINGERPRINT_VERSION.encode("utf-8"))
-    for unit in sorted(fingerprints):
-        digest.update(f"|{unit}={fingerprints[unit]}".encode("utf-8"))
-    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +434,11 @@ class UnitCache:
         stitched_per_unit: int = 4,
         span_capacity: int = 2048,
         slice_capacity: int = 256,
-        index_capacity: int = 8,
     ) -> None:
         self.capacity = capacity
         self.stitched_per_unit = stitched_per_unit
         self.span_capacity = span_capacity
         self.slice_capacity = slice_capacity
-        self.index_capacity = index_capacity
         self._records: "OrderedDict[str, UnitRecord]" = OrderedDict()
         self._spans: "OrderedDict[Tuple[str, str, int], object]" = (
             OrderedDict()
@@ -455,8 +446,6 @@ class UnitCache:
         self._slices: "OrderedDict[Tuple, SliceSalvageRecord]" = (
             OrderedDict()
         )
-        #: sdg-index assumption key → SDGClosureIndex (bounded LRU).
-        self._indexes: "OrderedDict[str, object]" = OrderedDict()
         self._lock = threading.Lock()
         self.stats = IncrementalStats()
 
@@ -545,30 +534,11 @@ class UnitCache:
             while len(self._slices) > max(self.slice_capacity, 1):
                 self._slices.popitem(last=False)
 
-    def get_index(self, key: str) -> Optional[object]:
-        """A salvaged whole-SDG closure index (repro.sdg.closure), keyed
-        by the unit-digest vector plus per-unit formal pairs — the same
-        assumptions the summary edges were computed under.  Counted as
-        ``indexes_salvaged`` by the caller on a validated hit."""
-        with self._lock:
-            index = self._indexes.get(key)
-            if index is not None:
-                self._indexes.move_to_end(key)
-            return index
-
-    def put_index(self, key: str, index: object) -> None:
-        with self._lock:
-            self._indexes[key] = index
-            self._indexes.move_to_end(key)
-            while len(self._indexes) > max(self.index_capacity, 1):
-                self._indexes.popitem(last=False)
-
     def clear(self) -> None:
         with self._lock:
             self._records.clear()
             self._spans.clear()
             self._slices.clear()
-            self._indexes.clear()
 
     def snapshot(self) -> Dict[str, object]:
         with self._lock:
@@ -578,7 +548,6 @@ class UnitCache:
             )
             spans = len(self._spans)
             slices = len(self._slices)
-            indexes = len(self._indexes)
         payload: Dict[str, object] = {
             "enabled": incremental_enabled(),
             "capacity": self.capacity,
@@ -586,7 +555,6 @@ class UnitCache:
             "stitched_entries": stitched,
             "span_entries": spans,
             "slice_entries": slices,
-            "index_entries": indexes,
         }
         payload.update(self.stats.snapshot())
         return payload
@@ -609,8 +577,8 @@ def incremental_analyze(
 
     Always attaches ``_unit_digests`` / ``_unit_cache`` to the returned
     analysis: the SDG builder salvages procedure units and stitched
-    graphs through them, and the durable-store read path reuses the
-    fingerprints without re-deriving them.
+    graphs through them, and the slice-result tier replays through
+    them.
     """
     if cache is None:
         cache = UnitCache()

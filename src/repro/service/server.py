@@ -28,7 +28,8 @@ here without killing work already accepted.
 Every response echoes an ``X-Request-Id`` header — the client's, when
 one was sent, or a freshly generated hex id — so a traced request
 (``trace: true`` in the body, span tree in the envelope) can be
-correlated with proxy and client logs.
+correlated with proxy and client logs.  The cluster front door keeps the
+same promise: both handlers share :class:`repro.service.edge.EdgeHandler`.
 
 Each connection is handled on its own thread (``ThreadingHTTPServer``);
 concurrency is safe because every worker shares one
@@ -40,7 +41,8 @@ for the same request.
 
 Resilience at the HTTP edge: bodies must announce their size (no
 ``Content-Length`` → 411, over the cap → 413, both with the structured
-``payload-too-large`` error), engine-shed requests map to 503 with a
+``payload-too-large`` error; a length that is not a non-negative
+integer → 400 ``protocol-error``), engine-shed requests map to 503 with a
 ``Retry-After`` header, and over-budget requests that could not be
 degraded map to 504 — every error status still carries the structured
 JSON error envelope.
@@ -49,22 +51,18 @@ JSON error envelope.
 from __future__ import annotations
 
 import json
-import math
-import uuid
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
 from repro.obs.prom import PROM_CONTENT_TYPE, render_prometheus
+from repro.service.edge import MAX_BODY_BYTES, EdgeHandler, retry_after_header
 from repro.service.engine import SlicingEngine
 from repro.service.protocol import (
     ProtocolError,
     capabilities_payload,
-    dump_json,
     error_envelope,
 )
-from repro.service.resilience import OverloadedError, PayloadTooLargeError
-
-MAX_BODY_BYTES = 8 * 1024 * 1024  # refuse absurd uploads
+from repro.service.resilience import OverloadedError
 
 #: error code -> HTTP status (anything else that fails is a 400).
 _STATUS_BY_CODE = {
@@ -74,6 +72,17 @@ _STATUS_BY_CODE = {
     "fault-injected": 500,
     "internal-error": 500,
 }
+
+
+def _json_body(raw: bytes) -> Any:
+    if not raw:
+        raise ProtocolError("request body is empty; expected JSON")
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise ProtocolError(
+            f"request body is not valid JSON: {error}"
+        ) from None
 
 
 class SlicingHTTPServer(ThreadingHTTPServer):
@@ -99,9 +108,8 @@ class SlicingHTTPServer(ThreadingHTTPServer):
         super().serve_forever(poll_interval)
 
 
-class SlicingRequestHandler(BaseHTTPRequestHandler):
+class SlicingRequestHandler(EdgeHandler):
     server_version = "slang-service/1"
-    protocol_version = "HTTP/1.1"
 
     # -- plumbing ------------------------------------------------------
 
@@ -112,45 +120,6 @@ class SlicingRequestHandler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: Any) -> None:
         if getattr(self.server, "verbose", False):
             super().log_message(format, *args)
-
-    def _request_id(self) -> str:
-        """The id echoed on every response: the client's
-        ``X-Request-Id`` when one was sent, else a generated one
-        (stable for the duration of this request)."""
-        cached = getattr(self, "_request_id_value", None)
-        if cached is None:
-            cached = self.headers.get("X-Request-Id") or uuid.uuid4().hex
-            self._request_id_value = cached
-        return cached
-
-    def _send_body(
-        self,
-        body: bytes,
-        content_type: str,
-        status: int = 200,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("X-Request-Id", self._request_id())
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(
-        self,
-        payload: Dict[str, Any],
-        status: int = 200,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        self._send_body(
-            dump_json(payload).encode("utf-8"),
-            "application/json; charset=utf-8",
-            status=status,
-            headers=headers,
-        )
 
     def _send_envelope(self, envelope: Dict[str, Any]) -> None:
         """Send a response envelope with the status (and ``Retry-After``
@@ -163,47 +132,12 @@ class SlicingRequestHandler(BaseHTTPRequestHandler):
         headers = None
         retry_after = error.get("retry_after")
         if retry_after is not None:
-            headers = {"Retry-After": str(max(1, math.ceil(retry_after)))}
+            headers = retry_after_header(retry_after)
         self._send_json(envelope, status=status, headers=headers)
-
-    def _read_body(self) -> Any:
-        """Read and parse the JSON body, enforcing the announced-size
-        contract: a body must carry ``Content-Length``, and the length
-        must be under the server cap — we never read unboundedly."""
-        header = self.headers.get("Content-Length")
-        if header is None:
-            raise PayloadTooLargeError(
-                "request has no Content-Length header; bodies of "
-                "unannounced size are refused"
-            )
-        try:
-            length = int(header)
-        except ValueError:
-            raise ProtocolError(
-                f"Content-Length {header!r} is not an integer"
-            ) from None
-        if length < 0:
-            raise ProtocolError(f"Content-Length {length} is negative")
-        max_bytes = getattr(self.server, "max_body_bytes", MAX_BODY_BYTES)
-        if length > max_bytes:
-            raise PayloadTooLargeError(
-                f"request body of {length} bytes exceeds the "
-                f"{max_bytes}-byte limit"
-            )
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            raise ProtocolError("request body is empty; expected JSON")
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise ProtocolError(
-                f"request body is not valid JSON: {error}"
-            ) from None
 
     # -- routes --------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 — http.server naming
-        self._request_id_value = None  # new request on this connection
         path = self.path.split("?", 1)[0]
         if path == "/stats":
             self._send_json(self.engine.stats_payload())
@@ -227,9 +161,7 @@ class SlicingRequestHandler(BaseHTTPRequestHandler):
                 self._send_json(
                     payload,
                     status=503,
-                    headers={
-                        "Retry-After": str(max(1, math.ceil(retry_after)))
-                    },
+                    headers=retry_after_header(retry_after),
                 )
         else:
             self._send_json(
@@ -240,7 +172,6 @@ class SlicingRequestHandler(BaseHTTPRequestHandler):
             )
 
     def do_POST(self) -> None:  # noqa: N802 — http.server naming
-        self._request_id_value = None  # new request on this connection
         path = self.path.split("?", 1)[0]
         op = path.lstrip("/")
         if op not in ("slice", "compare", "graph", "metrics", "check", "batch"):
@@ -251,12 +182,12 @@ class SlicingRequestHandler(BaseHTTPRequestHandler):
                 status=404,
             )
             return
-        try:
-            payload = self._read_body()
-        except PayloadTooLargeError as error:
-            status = 411 if self.headers.get("Content-Length") is None else 413
-            self._send_json(error_envelope(op, error), status=status)
+        max_bytes = getattr(self.server, "max_body_bytes", MAX_BODY_BYTES)
+        raw = self._read_announced_body(op, max_bytes)
+        if raw is None:
             return
+        try:
+            payload = _json_body(raw)
         except ProtocolError as error:
             self._send_json(error_envelope(op, error), status=400)
             return

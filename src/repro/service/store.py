@@ -6,7 +6,10 @@ the second tier: a directory of checksummed slice-result blobs, keyed by
 the same content address the memory tier already uses, shared by every
 worker of a cluster and surviving worker crashes and full restarts — a
 restarted server answers its warm set from disk without re-running any
-analysis at all.
+analysis at all.  Each exact slice is one entry under its exact-source
+key (:func:`payload_store_key`); a program re-sent after a formatting
+edit misses here and is served by the in-memory incremental tiers
+(DESIGN.md §14).
 
 Durability discipline, in order of importance:
 
@@ -71,31 +74,6 @@ def payload_store_key(
     digest = hashlib.sha256()
     digest.update(
         f"slice-payload|v1|{analysis_key}|{algorithm}|{line}|{var}|"
-        f"{proc or ''}".encode("utf-8")
-    )
-    return digest.hexdigest()
-
-
-def units_store_key(
-    units_digest: str,
-    algorithm: str,
-    line: int,
-    var: str,
-    proc: Optional[str] = None,
-) -> str:
-    """The *per-unit* sub-key of one slice-result payload.
-
-    ``units_digest`` is the digest over the program's per-procedure
-    content fingerprints (:func:`repro.service.incremental.units_digest`)
-    — the program's identity *modulo formatting*.  Payloads are written
-    under both this key and :func:`payload_store_key`, so a client that
-    re-submits a program after a comment or whitespace edit (a new
-    source hash, identical unit fingerprints) still hits the disk tier
-    without any analysis build.
-    """
-    digest = hashlib.sha256()
-    digest.update(
-        f"slice-payload-units|v1|{units_digest}|{algorithm}|{line}|{var}|"
         f"{proc or ''}".encode("utf-8")
     )
     return digest.hexdigest()

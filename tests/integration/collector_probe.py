@@ -114,10 +114,8 @@ def engine() -> SlicingEngine:
     return SlicingEngine(
         cache=AnalysisCache(
             capacity=ANALYSIS_CAPACITY,
-            prewarm=True,
             unit_cache=UnitCache(
-                capacity=16, span_capacity=32, slice_capacity=4,
-                index_capacity=1,
+                capacity=16, span_capacity=32, slice_capacity=4
             ),
         ),
         workers=1,

@@ -167,6 +167,44 @@ class TestClusterServing:
         assert len(stats["cluster"]["worker_stats"]) == 2
         assert stats["store"]["puts"] >= 3
 
+    def test_every_response_carries_request_id(self, cluster, corpus):
+        """The front door keeps the single-process server's promise:
+        every response, GET routes and errors included, echoes the
+        client's ``X-Request-Id`` (or a generated one), and the id is
+        forwarded to the worker that answers."""
+        import http.client
+
+        supervisor, _ = cluster
+        _, entry = corpus[1]
+        body = json.dumps(slice_payload(entry)).encode()
+
+        def exchange(method, path, payload=None, request_id=None):
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", supervisor.port, timeout=30
+            )
+            headers = {"X-Request-Id": request_id} if request_id else {}
+            try:
+                connection.request(method, path, body=payload, headers=headers)
+                response = connection.getresponse()
+                response.read()
+                return response.status, response.getheader("X-Request-Id")
+            finally:
+                connection.close()
+
+        assert exchange("POST", "/slice", body, "front-1") == (200, "front-1")
+        for path, status in (("/healthz", 200), ("/stats", 200),
+                             ("/metrics.prom", 200), ("/no-such", 404)):
+            assert exchange("GET", path, request_id=f"get{path}") == (
+                status, f"get{path}"
+            )
+        assert exchange("POST", "/no-such", b"{}", "bad-1") == (404, "bad-1")
+        status, generated = exchange("POST", "/slice", body)
+        assert status == 200 and generated
+        _, headers, _ = supervisor.proxy(
+            "slice", body, entry.source, request_id="to-worker"
+        )
+        assert headers["X-Request-Id"] == "to-worker"
+
     def test_prometheus_exposes_cluster_families(self, cluster):
         supervisor, _ = cluster
         url = f"http://127.0.0.1:{supervisor.port}/metrics.prom"
@@ -289,11 +327,8 @@ class TestStoreCorruptionFault:
         """``store-corruption`` end to end through the engine: the
         armed put writes a bad entry; a fresh engine over the same root
         detects the checksum mismatch and quarantines it — the corrupt
-        bytes are never returned.  Since the incremental layer, every
-        slice is stored twice (exact-source key + per-unit sub-key) and
-        the fault arms one put, so the clean replica may answer the
-        read; with it gone too the engine recomputes.  Either way the
-        served result equals the fresh computation."""
+        bytes are never returned — and recomputes the slice, which
+        equals the poisoned run's fresh computation."""
         root = str(tmp_path / "store")
         _, entry = corpus[1]
         payload = slice_payload(entry)
@@ -312,9 +347,7 @@ class TestStoreCorruptionFault:
             assert recovered["result"] == poisoned["result"]
             store_stats = engine.stats_payload()["store"]
             assert store_stats["quarantined"] == 1
-            # At most the clean per-unit replica hit; the quarantined
-            # exact-key entry never counts as a hit.
-            assert store_stats["hits"] <= 1
+            assert store_stats["hits"] == 0
 
 
 class TestSingleServerDrain:

@@ -192,7 +192,7 @@ class TestExemplars:
 @pytest.fixture
 def http_server():
     engine = SlicingEngine(
-        cache=AnalysisCache(capacity=16, prewarm=True), workers=6
+        cache=AnalysisCache(capacity=16), workers=6
     )
     server = make_server(port=0, engine=engine)
     thread = threading.Thread(target=server.serve_forever, daemon=True)

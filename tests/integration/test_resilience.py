@@ -305,6 +305,35 @@ class TestHTTPEdge:
         assert response.status == 400
         assert payload["error"]["code"] == "protocol-error"
 
+    def test_bad_content_length_is_400_at_the_cluster_front_door(self):
+        """The cluster front door answers a non-integer or negative
+        ``Content-Length`` exactly like the single-process server."""
+        import http.client
+
+        from repro.service.cluster import ClusterConfig, ClusterSupervisor
+
+        supervisor = ClusterSupervisor(
+            ClusterConfig(workers=1, port=0, heartbeat_interval=0.2,
+                          drain_seconds=5.0, verbose=False)
+        )
+        supervisor.start()
+        try:
+            for value in ("many", "-5"):
+                connection = http.client.HTTPConnection(
+                    "127.0.0.1", supervisor.port, timeout=10
+                )
+                connection.putrequest("POST", "/slice")
+                connection.putheader("Content-Length", value)
+                connection.putheader("Connection", "close")
+                connection.endheaders()
+                response = connection.getresponse()
+                payload = json.loads(response.read())
+                connection.close()
+                assert response.status == 400, value
+                assert payload["error"]["code"] == "protocol-error", value
+        finally:
+            supervisor.stop(drain=True)
+
     def test_overloaded_maps_to_503_with_retry_after(self):
         release = threading.Event()
         entered = threading.Event()

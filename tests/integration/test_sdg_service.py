@@ -4,7 +4,7 @@ Drives DESIGN.md §12's call-crossing example through ``slang serve``'s
 HTTP front end and checks the protocol-v2 surface around it: the
 ``proc`` request field, the ``procedures`` result section, version
 negotiation ({1, 2} spoken, anything else refused), the multi-procedure
-capability gate, and the ``slang_sdg_*`` observability counters.
+capability gate, and the ``sdg:*`` observability counters.
 """
 
 import json
@@ -46,7 +46,7 @@ def http_server():
     from repro.service.server import make_server
 
     engine = SlicingEngine(
-        cache=AnalysisCache(capacity=8, prewarm=False), workers=2
+        cache=AnalysisCache(capacity=8), workers=2
     )
     server = make_server(port=0, engine=engine)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -218,20 +218,20 @@ class TestSDGObservability:
 
         status, text = _get(http_server, "/metrics.prom")
         assert status == 200
-        metrics = parse_prometheus(text)
-        for name, event in (
-            ("slang_sdg_procedures_total", "sdg:procedures"),
-            ("slang_sdg_summary_edges_total", "sdg:summary-edges"),
-            ("slang_sdg_pass1_visits_total", "sdg:pass1-visits"),
-            ("slang_sdg_pass2_visits_total", "sdg:pass2-visits"),
+        series = parse_prometheus(text)["slang_events_total"]
+        for event in (
+            "sdg:procedures",
+            "sdg:summary-edges",
+            "sdg:pass1-visits",
+            "sdg:pass2-visits",
         ):
-            assert metrics[name][()] == events[event], name
+            assert series[(("event", event),)] == events[event], event
 
     def test_sdg_index_counters_reconcile(self, http_server):
-        """The ``slang_sdg_index_*`` family reconciles with ``/stats``
-        exactly like the rest of the ``slang_sdg_*`` counters: one build
-        for the program, mask hits per criterion, and a repeat slice
-        reusing the memoized index without a second build."""
+        """The ``sdg-index:*`` series of ``slang_events_total`` reconcile
+        with ``/stats`` exactly like the ``sdg:*`` ones: one build for
+        the program, mask hits per criterion, and a repeat slice reusing
+        the memoized index without a second build."""
         for _ in range(2):
             status, _ = _post(
                 http_server,
@@ -252,14 +252,13 @@ class TestSDGObservability:
 
         status, text = _get(http_server, "/metrics.prom")
         assert status == 200
-        metrics = parse_prometheus(text)
-        for name, event in (
-            ("slang_sdg_index_builds_total", "sdg-index:builds"),
-            ("slang_sdg_index_mask_hits_total", "sdg-index:mask-hits"),
-            ("slang_sdg_index_pressure_skips_total", "sdg-index:pressure-skips"),
-            ("slang_sdg_index_incremental_salvages_total", "sdg-index:incremental-salvages"),
+        series = parse_prometheus(text)["slang_events_total"]
+        for event in (
+            "sdg-index:builds",
+            "sdg-index:mask-hits",
+            "sdg-index:pressure-skips",
         ):
             if event in events:
-                assert metrics[name][()] == events[event], name
+                assert series[(("event", event),)] == events[event], event
             else:
-                assert name not in metrics, name
+                assert (("event", event),) not in series, event

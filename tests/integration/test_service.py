@@ -84,7 +84,7 @@ class TestConcurrentEngine:
     def test_threaded_responses_equal_single_threaded_registry(self):
         jobs = _workload()
         engine = SlicingEngine(
-            cache=AnalysisCache(capacity=16, prewarm=True), workers=8
+            cache=AnalysisCache(capacity=16), workers=8
         )
         # Each request repeated from several threads at once.
         repeated = [job for job in jobs for _ in range(3)]
@@ -174,7 +174,7 @@ class TestConcurrentEngine:
 @pytest.fixture
 def http_server():
     engine = SlicingEngine(
-        cache=AnalysisCache(capacity=16, prewarm=True), workers=6
+        cache=AnalysisCache(capacity=16), workers=6
     )
     server = make_server(port=0, engine=engine)
     thread = threading.Thread(target=server.serve_forever, daemon=True)

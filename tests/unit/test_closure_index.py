@@ -3,9 +3,12 @@
 Covers the raw index (Tarjan condensation + mask closure on hand-built
 graphs), the lazy wiring on :class:`ProgramDependenceGraph` (build,
 invalidation on mutation, enablement knob, budget-pressure skip), and
-the prewarm path of the analysis cache.  Whole-registry identity over
-random programs lives in ``tests/property/test_engine_differential.py``.
+the lazy build on a served program's first slice.  Whole-registry
+identity over random programs lives in
+``tests/property/test_engine_differential.py``.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -20,10 +23,17 @@ from repro.pdg.closure import (
     set_closure_index_enabled,
 )
 from repro.pdg.graph import ProgramDependenceGraph
-from repro.service.cache import AnalysisCache
+from repro.service.cache import analysis_key
+from repro.service.engine import SlicingEngine
 from repro.service.resilience import Budget, use_budget
 
 FIG3A = PAPER_PROGRAMS["fig3a"].source
+COMBINE = (
+    Path(__file__).resolve().parents[2]
+    / "examples"
+    / "interprocedural"
+    / "combine.sl"
+).read_text()
 
 
 def index_for(edges, nodes=()):
@@ -199,12 +209,36 @@ class TestBudgetPressure:
         assert pdg._closure_index is not None
 
 
-class TestPrewarm:
-    def test_prewarm_builds_the_index(self):
-        cache = AnalysisCache(capacity=2, prewarm=True)
-        analysis = cache.get_or_build(FIG3A)
+class TestLazyIndex:
+    """The analysis cache builds no closure index: the first slice that
+    reads main's PDG builds it, and interprocedural slicing (which
+    walks the SDG's own copies of each unit's graph) never does."""
+
+    def _slice(self, source, **criterion):
+        with SlicingEngine(workers=1) as engine:
+            analysis = engine.analysis_for(source)
+            assert analysis.pdg._closure_index is None
+            response = engine.handle_payload(
+                {"version": 1, "op": "slice", "source": source, **criterion}
+            )
+            assert response["ok"], response
+            assert engine.cache.peek(analysis_key(source)) is analysis
+            return analysis
+
+    def test_agrawal_slice_builds_the_index_on_first_use(self):
+        line, var = PAPER_PROGRAMS["fig3a"].criterion
+        analysis = self._slice(FIG3A, line=line, var=var)
         assert analysis.pdg._closure_index is not None
 
+    def test_interprocedural_slice_leaves_main_index_unbuilt(self):
+        analysis = self._slice(
+            COMBINE, line=5, var="s", algorithm="interprocedural"
+        )
+        assert analysis.program.procs
+        assert analysis.pdg._closure_index is None
+
+
+class TestPrewarm:
     def test_index_agrees_with_bfs_on_real_pdg(self):
         analysis = analyze_program(FIG3A)
         pdg = analysis.pdg

@@ -31,7 +31,6 @@ from repro.service.incremental import (
     set_incremental_enabled,
     split_source,
     unit_fingerprints,
-    units_digest,
 )
 
 CHAIN = """\
@@ -106,14 +105,6 @@ class TestFingerprints:
         assert unit_fingerprints(program, chain_io=True) != (
             unit_fingerprints(program, chain_io=False)
         )
-
-    def test_units_digest_is_order_insensitive(self):
-        base = fingerprints(CHAIN)
-        reversed_order = dict(reversed(list(base.items())))
-        assert units_digest(base) == units_digest(reversed_order)
-        perturbed = dict(base)
-        perturbed["inner"] = "0" * 64
-        assert units_digest(perturbed) != units_digest(base)
 
 
 def lines_of(program):
@@ -253,38 +244,23 @@ class TestUnitCache:
         assert snapshot["capacity"] == 8
         assert snapshot["entries"] == 0
         assert snapshot["stitched_entries"] == 0
-        assert snapshot["index_entries"] == 0
         assert snapshot["units_reused"] == 3
         for field in IncrementalStats.FIELDS:
             assert field in snapshot
-        assert "indexes_salvaged" in IncrementalStats.FIELDS
 
-    def test_index_store_is_lru_bounded(self):
-        cache = UnitCache(capacity=4, index_capacity=2)
-        first, second, third = object(), object(), object()
-        cache.put_index("i1", first)
-        cache.put_index("i2", second)
-        cache.put_index("i3", third)
-        assert cache.get_index("i1") is None
-        assert cache.get_index("i3") is third
-        assert cache.snapshot()["index_entries"] == 2
-
-    def test_get_index_refreshes_recency(self):
-        cache = UnitCache(capacity=4, index_capacity=2)
-        first, second = object(), object()
-        cache.put_index("i1", first)
-        cache.put_index("i2", second)
-        cache.get_index("i1")  # i2 is now the eviction candidate
-        cache.put_index("i3", object())
-        assert cache.get_index("i1") is first
-        assert cache.get_index("i2") is None
-
-    def test_clear_drops_indexes(self):
+    def test_clear_drops_every_tier(self):
         cache = UnitCache(capacity=4)
-        cache.put_index("i1", object())
+        cache.put_unit("u", self.analysis())
+        cache.put_span(("main", "digest", 1), object())
+        cache.put_slice(("interprocedural", 3, "r", None), object())
         cache.clear()
-        assert cache.get_index("i1") is None
-        assert cache.snapshot()["index_entries"] == 0
+        assert cache.get_unit("u") is None
+        assert cache.get_span(("main", "digest", 1)) is None
+        assert cache.get_slice(("interprocedural", 3, "r", None)) is None
+        snapshot = cache.snapshot()
+        assert snapshot["entries"] == 0
+        assert snapshot["span_entries"] == 0
+        assert snapshot["slice_entries"] == 0
 
 
 class TestKnob:

@@ -84,7 +84,7 @@ def test_single_worker_merge_keeps_every_family(tmp_path):
     engine = _families(render_prometheus(payload))
     cluster = _families(render_prometheus(merge_stats_payloads([payload])))
     assert any(name.startswith("slang_incremental_") for name in engine)
-    assert any(name.startswith("slang_sdg_index_") for name in engine)
+    assert any(event.startswith("sdg-index:") for event in payload["events"])
     assert engine - cluster == set()
 
 

@@ -336,44 +336,35 @@ class TestPrometheus:
 
 
 class TestSDGIndexFamily:
-    """The ``slang_sdg_index_*`` counters must reconcile with the event
-    ledger exactly like the rest of the ``slang_sdg_*`` family — and,
-    like it, emit no series at all for events that never fired."""
+    """The ``sdg:*`` and ``sdg-index:*`` counters are exported as
+    ``slang_events_total{event=...}`` series that reconcile with the
+    event ledger, and an event that never fired has no series at all."""
 
-    PAIRS = (
-        ("sdg-index:builds", "slang_sdg_index_builds_total"),
-        ("sdg-index:mask-hits", "slang_sdg_index_mask_hits_total"),
-        ("sdg-index:pressure-skips", "slang_sdg_index_pressure_skips_total"),
-        (
-            "sdg-index:incremental-salvages",
-            "slang_sdg_index_incremental_salvages_total",
-        ),
+    EVENTS = (
+        "sdg:procedures",
+        "sdg:summary-edges",
+        "sdg:pass1-visits",
+        "sdg:pass2-visits",
+        "sdg-index:builds",
+        "sdg-index:mask-hits",
+        "sdg-index:pressure-skips",
     )
 
     def test_counters_reconcile_with_events(self):
         stats = ServiceStats()
-        stats.record_event("sdg-index:builds", 1)
-        stats.record_event("sdg-index:mask-hits", 7)
-        stats.record_event("sdg-index:pressure-skips", 2)
-        stats.record_event("sdg-index:incremental-salvages", 3)
+        for count, event in enumerate(self.EVENTS, start=1):
+            stats.record_event(event, count)
         payload = stats.snapshot()
         metrics = parse_prometheus(render_prometheus(payload))
-        for event, name in self.PAIRS:
-            assert metrics[name][()] == payload["events"][event], name
+        series = metrics["slang_events_total"]
+        for event in self.EVENTS:
+            assert series[(("event", event),)] == payload["events"][event]
 
     def test_absent_events_render_no_series(self):
-        metrics = parse_prometheus(render_prometheus(ServiceStats().snapshot()))
-        for _, name in self.PAIRS:
-            assert name not in metrics, name
-
-    def test_incremental_family_carries_index_fields(self):
-        from repro.service.incremental import UnitCache
-
-        cache = UnitCache(capacity=8)
-        cache.put_index("k", object())
-        cache.stats.record("indexes_salvaged", 4)
-        payload = ServiceStats().snapshot()
-        payload["incremental"] = {"enabled": True, **cache.snapshot()}
-        metrics = parse_prometheus(render_prometheus(payload))
-        assert metrics["slang_incremental_indexes_salvaged_total"][()] == 4
-        assert metrics["slang_incremental_index_entries"][()] == 1
+        stats = ServiceStats()
+        stats.record_event("shed")
+        metrics = parse_prometheus(render_prometheus(stats.snapshot()))
+        series = metrics["slang_events_total"]
+        for event in self.EVENTS:
+            assert (("event", event),) not in series, event
+        assert not any(name.startswith("slang_sdg_") for name in metrics)

@@ -1,8 +1,8 @@
 """Unit tests for the whole-SDG closure index lifecycle: build
 structure (edge partitions, binding triples, jump schedule), the
 encode/decode mask layer, the enablement knob at both levels,
-memoization and invalidation on SDG mutation, budget-pressure deferral,
-and unit-cache salvage across equal-digest rebuilds."""
+memoization and invalidation on SDG mutation, and budget-pressure
+deferral."""
 
 import pytest
 
@@ -21,7 +21,6 @@ from repro.sdg.closure import (
     sdg_closure_index,
     sdg_index_enabled,
 )
-from repro.service.incremental import UnitCache, incremental, units_digest
 from repro.service.resilience import Budget, use_budget
 
 COMBINE = """\
@@ -203,69 +202,3 @@ class TestLifecycle:
                 index, events = ensure_sdg_index(sdg)
         assert index is built
         assert events == {}
-
-
-class TestSalvage:
-    def _wire(self, sdg, analysis, cache):
-        """Set the incremental bookkeeping the engine's incremental
-        path records: the unit cache, the digest vector, and the
-        per-unit formal-dependence pairs."""
-        analysis._unit_cache = cache
-        analysis._unit_digests = {
-            unit: f"digest-{unit}" for unit in sdg.procs
-        }
-        sdg.unit_pairs = {
-            unit: frozenset({(0, 0)}) for unit in sdg.procs
-        }
-
-    def test_equal_digests_salvage_the_index(self):
-        cache = UnitCache(capacity=8)
-        first_analysis = analyze_program(COMBINE)
-        second_analysis = analyze_program(COMBINE)
-        with sdg_closure_index(False):
-            first_sdg = sdg_for_analysis(first_analysis)
-            second_sdg = sdg_for_analysis(second_analysis)
-        self._wire(first_sdg, first_analysis, cache)
-        self._wire(second_sdg, second_analysis, cache)
-        with incremental(True), sdg_closure_index(True):
-            built, events = ensure_sdg_index(first_sdg, first_analysis)
-            assert events == {"sdg-index:builds": 1}
-            salvaged, events = ensure_sdg_index(second_sdg, second_analysis)
-        assert events == {"sdg-index:incremental-salvages": 1}
-        assert salvaged is built  # same immutable object, replayed
-        assert cache.stats.snapshot()["indexes_salvaged"] == 1
-
-    def test_changed_digest_misses(self):
-        cache = UnitCache(capacity=8)
-        first_analysis = analyze_program(COMBINE)
-        second_analysis = analyze_program(COMBINE)
-        with sdg_closure_index(False):
-            first_sdg = sdg_for_analysis(first_analysis)
-            second_sdg = sdg_for_analysis(second_analysis)
-        self._wire(first_sdg, first_analysis, cache)
-        self._wire(second_sdg, second_analysis, cache)
-        second_analysis._unit_digests = dict(second_analysis._unit_digests)
-        second_analysis._unit_digests[MAIN_UNIT] = "digest-edited"
-        with incremental(True), sdg_closure_index(True):
-            _, events = ensure_sdg_index(first_sdg, first_analysis)
-            assert events == {"sdg-index:builds": 1}
-            _, events = ensure_sdg_index(second_sdg, second_analysis)
-        assert events == {"sdg-index:builds": 1}
-        assert cache.stats.snapshot()["indexes_salvaged"] == 0
-
-    def test_incremental_off_never_touches_the_cache(self):
-        cache = UnitCache(capacity=8)
-        analysis = analyze_program(COMBINE)
-        with sdg_closure_index(False):
-            sdg = sdg_for_analysis(analysis)
-        self._wire(sdg, analysis, cache)
-        with incremental(False), sdg_closure_index(True):
-            index, events = ensure_sdg_index(sdg, analysis)
-        assert index is not None
-        assert events == {"sdg-index:builds": 1}
-        assert cache.snapshot()["index_entries"] == 0
-
-    def test_units_digest_feeds_the_key(self):
-        # Sanity: the digest vector actually distinguishes programs —
-        # guards against the key silently ignoring its inputs.
-        assert units_digest({"main": "a"}) != units_digest({"main": "b"})

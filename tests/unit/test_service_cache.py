@@ -72,10 +72,9 @@ class TestLRU:
 
 class TestPrewarm:
     def test_prewarm_freezes_lazy_fields(self, monkeypatch):
-        """The augmented graphs are no longer prewarmed: only the
-        Ball–Horwitz family reads them.  The contract that replaces the
-        prewarm is that threads racing on a shared analysis's first use
-        build each of them exactly once."""
+        """The augmented graphs are not built with the analysis: only
+        the Ball–Horwitz family reads them.  Threads racing on a shared
+        analysis's first use build each of them exactly once."""
         import time
 
         import repro.pdg.builder as builder
@@ -98,7 +97,7 @@ class TestPrewarm:
             builder, "build_augmented_pdg",
             counting("pdg", builder.build_augmented_pdg),
         )
-        cache = AnalysisCache(capacity=2, prewarm=True)
+        cache = AnalysisCache(capacity=2)
         analysis = cache.get_or_build(FIG3A)
         assert analysis._augmented_cfg is None
         assert analysis._augmented_pdg is None

@@ -193,3 +193,53 @@ class TestEviction:
             store.put(str(i) * 64, bytes(256))
         assert store.evictions == 0
         assert store.entry_count() == 10
+
+
+class TestEngineTier:
+    """The engine writes each fresh exact slice once, under its
+    exact-source key, and a cold request parses its source once."""
+
+    def test_each_fresh_slice_is_one_put(self, root):
+        from repro.corpus import PAPER_PROGRAMS
+        from repro.service.engine import SlicingEngine
+
+        entry = PAPER_PROGRAMS["fig3a"]
+        criteria = [(15, "positives"), (14, "sum"), (8, "positives"),
+                    (10, "sum")]
+        with SlicingEngine(store=DurableStore(root, fsync=False)) as engine:
+            for algorithm in ("agrawal", "ball-horwitz"):
+                for line, var in criteria:
+                    response = engine.handle_payload(
+                        {"version": 1, "op": "slice", "algorithm": algorithm,
+                         "source": entry.source, "line": line, "var": var}
+                    )
+                    assert response["ok"], response
+            fresh = engine.stats_payload()["slice_cache"]["misses"]
+            assert fresh == 2 * len(criteria)
+            assert engine.store.stats()["puts"] == fresh
+
+    def test_cold_request_parses_its_source_once(self, root, monkeypatch):
+        import repro.lang.parser as parser
+        import repro.pdg.builder as builder
+        import repro.service.incremental as incremental
+        from repro.corpus import PAPER_PROGRAMS
+        from repro.service.engine import SlicingEngine
+
+        calls = []
+        real = parser.parse_program
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (parser, builder, incremental):
+            monkeypatch.setattr(module, "parse_program", counting)
+        entry = PAPER_PROGRAMS["fig3a"]
+        line, var = entry.criterion
+        with SlicingEngine(store=DurableStore(root, fsync=False)) as engine:
+            response = engine.handle_payload(
+                {"version": 1, "op": "slice", "source": entry.source,
+                 "line": line, "var": var}
+            )
+        assert response["ok"], response
+        assert len(calls) == 1

@@ -73,7 +73,6 @@ def worker_payload(shard: int) -> Dict[str, Any]:
         "sdg-index:builds",
         "sdg-index:mask-hits",
         "sdg-index:pressure-skips",
-        "sdg-index:incremental-salvages",
         "degraded",
         "store-hit",
     ):
@@ -104,7 +103,6 @@ def worker_payload(shard: int) -> Dict[str, Any]:
         "stitched_entries": 3 + shard,
         "span_entries": 9 * scale,
         "slice_entries": 2 + shard,
-        "index_entries": 1 + shard,
         "programs": 11 * scale,
         "spans_reused": 20 + shard,
         "spans_parsed": 6 * scale,
@@ -114,8 +112,6 @@ def worker_payload(shard: int) -> Dict[str, Any]:
         "stitched_built": 4 * scale,
         "recursive_rebuilt": shard,
         "slices_salvaged": 3 * scale,
-        "indexes_salvaged": 1 + shard,
-        "store_unit_hits": 2 * shard,
     }
     payload["admission"] = {
         "inflight": shard,
