@@ -674,13 +674,16 @@ def _batch_remote(args: argparse.Namespace, payloads, retry) -> int:
     from repro.service.client import ServiceClient
     from repro.service.protocol import dump_json
 
-    client = ServiceClient(
+    with ServiceClient(
         args.url,
         retry=retry if retry is not None else None,
-    )
-    responses = client.run_batch(
-        payloads, concurrency=args.workers or 8
-    )
+    ) as client:
+        responses = client.run_batch(
+            payloads, concurrency=args.workers or 8
+        )
+        if args.stats:
+            client_stats = client.stats()
+            status, stats = client.get("/stats")
     permanent = transient = 0
     for response in responses:
         if not response.get("ok"):
@@ -697,8 +700,7 @@ def _batch_remote(args: argparse.Namespace, payloads, retry) -> int:
             file=sys.stderr,
         )
     if args.stats:
-        print(dump_json(client.stats()), file=sys.stderr)
-        status, stats = client.get("/stats")
+        print(dump_json(client_stats), file=sys.stderr)
         if status == 200:
             print(dump_json(stats), file=sys.stderr)
     if args.strict:

@@ -5,6 +5,15 @@
 server, the chaos harness uses it to prove a batch survives worker
 crashes, and the integration tests use it as the reference client.
 
+Requests travel on persistent connections from one
+:class:`~repro.service.edge.ConnectionPool`: a connection is checked out
+per request and returned afterwards, so a sequential caller opens one
+connection and a batch of *c* concurrent requests at most *c*.  A
+pooled connection the server closed while it sat idle (a restart, a
+drain) is noticed when the request on it fails before any response
+byte arrives; the request is then sent once more on a fresh connection,
+which is not a retry and not a transport failure.
+
 Retry semantics mirror the engine's in-process batch runner, plus the
 two failure modes only a network client can see:
 
@@ -35,6 +44,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
+from repro.service.edge import ConnectionPool
 from repro.service.protocol import dump_json
 from repro.service.resilience import RetryPolicy
 
@@ -93,11 +103,22 @@ class ServiceClient:
         self.port = parts.port or 80
         self.retry = retry if retry is not None else RetryPolicy()
         self.timeout = timeout
+        self._pool = ConnectionPool(self.host, self.port, timeout)
         self._lock = threading.Lock()
         self.retries = 0
         self.recovered = 0
         self.exhausted = 0
         self.connect_errors = 0
+
+    def close(self) -> None:
+        """Close the idle pooled connections."""
+        self._pool.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     # -- single round trips --------------------------------------------
 
@@ -107,33 +128,17 @@ class ServiceClient:
         path: str,
         body: Optional[bytes] = None,
     ) -> Tuple[int, Optional[float], Any]:
-        """One HTTP exchange: ``(status, retry_after, parsed body)``.
-
-        A fresh connection per attempt: after a worker restart the old
-        socket is dead anyway, and per-request connections make "the
-        server closed on me mid-read" a clean exception instead of a
-        poisoned keep-alive stream.
+        """One HTTP exchange: ``(status, retry_after, parsed body)``, on
+        a pooled persistent connection.  A transport failure raises; the
+        pool has already re-sent a request that met a stale connection.
         """
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
+        status, headers, raw = self._pool.request(method, path, body)
+        retry_after = _parse_retry_after(headers.get("Retry-After"))
         try:
-            headers = {}
-            if body is not None:
-                headers["Content-Type"] = "application/json; charset=utf-8"
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
-            raw = response.read()
-            retry_after = _parse_retry_after(
-                response.getheader("Retry-After")
-            )
-            try:
-                payload = json.loads(raw.decode("utf-8")) if raw else None
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                payload = None
-            return response.status, retry_after, payload
-        finally:
-            conn.close()
+            payload = json.loads(raw.decode("utf-8")) if raw else None
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            payload = None
+        return status, retry_after, payload
 
     def get(self, path: str) -> Tuple[int, Any]:
         """One GET, no retries (observability endpoints)."""

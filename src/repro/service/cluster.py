@@ -53,11 +53,16 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from http.server import ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.prom import PROM_CONTENT_TYPE, render_prometheus
-from repro.service.edge import MAX_BODY_BYTES, EdgeHandler, retry_after_header
+from repro.service.edge import (
+    MAX_BODY_BYTES,
+    ConnectionPool,
+    EdgeHandler,
+    EdgeServer,
+    retry_after_header,
+)
 from repro.service.protocol import (
     ProtocolError,
     capabilities_payload,
@@ -137,6 +142,9 @@ class _Worker:
         self.shard = shard
         self.proc: Optional[subprocess.Popen] = None
         self.port: Optional[int] = None
+        #: Persistent connections to this worker's port; a restarted
+        #: worker listens on a new port and gets a new pool.
+        self.pool: Optional[ConnectionPool] = None
         self.restarts = 0  # lifetime restart count (spawn #0 not counted)
         self.requests = 0  # requests proxied to this shard
         self.proxy_errors = 0
@@ -270,6 +278,9 @@ class ClusterSupervisor:
                     pass
         self._server.shutdown()
         self._server.server_close()
+        for worker in self._workers:
+            if worker.pool is not None:
+                worker.pool.close()
         self._stopped.set()
         self._log("drained and stopped")
 
@@ -319,8 +330,11 @@ class ClusterSupervisor:
                 pass
             self._schedule_restart(worker, "handshake-timeout")
             return False
-        worker.proc = proc
         worker.port = port
+        worker.pool = ConnectionPool(
+            "127.0.0.1", port, self.config.request_timeout
+        )
+        worker.proc = proc
         worker.restart_at = None
         worker.spawned_at = time.monotonic()
         worker.last_ok = None
@@ -362,6 +376,9 @@ class ClusterSupervisor:
         now = time.monotonic()
         worker.proc = None
         worker.port = None
+        if worker.pool is not None:
+            worker.pool.close()
+            worker.pool = None
         worker.consecutive_failures += 1
         worker.restart_times.append(now)
         window = now - self.config.breaker_window
@@ -475,32 +492,19 @@ class ClusterSupervisor:
         timeout: Optional[float] = None,
         count_request: bool = True,
         request_id: Optional[str] = None,
-    ) -> Tuple[int, Dict[str, str], bytes]:
-        """One exchange with a worker: ``(status, headers, body)``.
-        *request_id* travels as ``X-Request-Id``, so the worker's logs
-        and traces carry the id the client sees."""
-        if worker.port is None:
+    ) -> Tuple[int, http.client.HTTPMessage, bytes]:
+        """One exchange with a worker, on a pooled persistent
+        connection: ``(status, headers, body)``.  *request_id* travels
+        as ``X-Request-Id``, so the worker's logs and traces carry the
+        id the client sees."""
+        pool = worker.pool
+        if pool is None:
             raise OSError("worker has no port (restarting)")
         if count_request:
             with self._lock:
                 worker.requests += 1
-        conn = http.client.HTTPConnection(
-            "127.0.0.1",
-            worker.port,
-            timeout=timeout or self.config.request_timeout,
-        )
-        try:
-            headers = {}
-            if body is not None:
-                headers["Content-Type"] = "application/json; charset=utf-8"
-            if request_id is not None:
-                headers["X-Request-Id"] = request_id
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
-            data = response.read()
-            return response.status, dict(response.getheaders()), data
-        finally:
-            conn.close()
+        headers = {"X-Request-Id": request_id} if request_id else None
+        return pool.request(method, path, body, headers, timeout)
 
     def proxy(
         self,
@@ -654,19 +658,12 @@ class ClusterSupervisor:
         return {"ok": ready, **cluster}
 
 
-class _SupervisorHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-
+class _SupervisorHTTPServer(EdgeServer):
     def __init__(
         self, address: Tuple[str, int], supervisor: ClusterSupervisor
     ) -> None:
         super().__init__(address, _SupervisorHandler)
         self.supervisor = supervisor
-
-    def serve_forever(self, poll_interval: float = 0.05) -> None:
-        """As :meth:`repro.service.server.SlicingHTTPServer.serve_forever`:
-        ``shutdown()`` returns within 50 ms."""
-        super().serve_forever(poll_interval)
 
 
 class _SupervisorHandler(EdgeHandler):
@@ -733,6 +730,7 @@ class _SupervisorHandler(EdgeHandler):
             return
         if supervisor.draining:
             retry_after = supervisor.config.retry_after
+            self.must_close = True
             self._send_json(
                 error_envelope(
                     op,

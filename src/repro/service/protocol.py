@@ -348,6 +348,7 @@ def slice_result_payload(result: SliceResult) -> Dict[str, Any]:
     and each row of a ``/compare`` response.
     """
     statements = result.statement_nodes()
+    cfg_nodes = result.analysis.cfg.nodes
     criterion: Dict[str, Any] = {
         "line": result.criterion.line,
         "var": result.criterion.var,
@@ -358,7 +359,7 @@ def slice_result_payload(result: SliceResult) -> Dict[str, Any]:
         "algorithm": result.algorithm,
         "criterion": criterion,
         "nodes": statements,
-        "lines": result.lines(),
+        "lines": sorted({cfg_nodes[node].line for node in statements}),
         "size": len(statements),
         "traversals": result.traversals,
         "label_map": {

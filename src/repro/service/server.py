@@ -31,10 +31,10 @@ one was sent, or a freshly generated hex id — so a traced request
 correlated with proxy and client logs.  The cluster front door keeps the
 same promise: both handlers share :class:`repro.service.edge.EdgeHandler`.
 
-Each connection is handled on its own thread (``ThreadingHTTPServer``);
-concurrency is safe because every worker shares one
-:class:`SlicingEngine`, whose cache hands out immutable
-:class:`ProgramAnalysis` artefacts (DESIGN.md §7).  Bodies are dumped
+Each persistent connection is handled on its own thread
+(:class:`~repro.service.edge.EdgeServer`); concurrency is safe because
+every worker shares one :class:`SlicingEngine`, whose cache hands out
+immutable :class:`ProgramAnalysis` artefacts (DESIGN.md §7).  Bodies are dumped
 with ``sort_keys=True`` via :func:`repro.service.protocol.dump_json`,
 so a server response is byte-identical to the CLI's ``--json`` output
 for the same request.
@@ -51,11 +51,15 @@ JSON error envelope.
 from __future__ import annotations
 
 import json
-from http.server import ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
 from repro.obs.prom import PROM_CONTENT_TYPE, render_prometheus
-from repro.service.edge import MAX_BODY_BYTES, EdgeHandler, retry_after_header
+from repro.service.edge import (
+    MAX_BODY_BYTES,
+    EdgeHandler,
+    EdgeServer,
+    retry_after_header,
+)
 from repro.service.engine import SlicingEngine
 from repro.service.protocol import (
     ProtocolError,
@@ -85,10 +89,8 @@ def _json_body(raw: bytes) -> Any:
         ) from None
 
 
-class SlicingHTTPServer(ThreadingHTTPServer):
-    """A :class:`ThreadingHTTPServer` that owns the shared engine."""
-
-    daemon_threads = True
+class SlicingHTTPServer(EdgeServer):
+    """An :class:`EdgeServer` that owns the shared engine."""
 
     def __init__(
         self,
@@ -101,11 +103,6 @@ class SlicingHTTPServer(ThreadingHTTPServer):
         self.engine = engine if engine is not None else SlicingEngine()
         self.verbose = verbose
         self.max_body_bytes = max_body_bytes
-
-    def serve_forever(self, poll_interval: float = 0.05) -> None:
-        """Serve until ``shutdown()``, which waits up to one
-        *poll_interval* (the stdlib's 0.5 s made every drain idle)."""
-        super().serve_forever(poll_interval)
 
 
 class SlicingRequestHandler(EdgeHandler):
@@ -192,10 +189,10 @@ class SlicingRequestHandler(EdgeHandler):
             self._send_json(error_envelope(op, error), status=400)
             return
         if self.engine.draining:
-            # The body is read (keep-alive framing stays intact) but a
-            # draining worker takes no new work: the retryable envelope
+            # A draining worker takes no new work: the retryable envelope
             # sends the client (or the supervisor) elsewhere after
-            # Retry-After seconds.
+            # Retry-After seconds, on a new connection.
+            self.must_close = True
             self._send_envelope(
                 error_envelope(
                     op,
