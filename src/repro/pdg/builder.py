@@ -127,6 +127,14 @@ class ProgramAnalysis:
     _goto_sites: Optional[Tuple[Tuple[int, str, int], ...]] = field(
         default=None, repr=False, compare=False
     )
+    #: The jump nodes of ``pdt`` / ``lst`` in that tree's pre-order —
+    #: the Fig. 7 visit schedules, built by :meth:`jump_preorder`.
+    _pdt_jump_preorder: Optional[Tuple[int, ...]] = field(
+        default=None, repr=False, compare=False
+    )
+    _lst_jump_preorder: Optional[Tuple[int, ...]] = field(
+        default=None, repr=False, compare=False
+    )
     #: The program's system dependence graph, memoized by
     #: :func:`repro.sdg.builder.sdg_for_analysis`.
     _sdg: Optional[object] = field(default=None, repr=False, compare=False)
@@ -166,6 +174,8 @@ class ProgramAnalysis:
             _reaching_index=self._reaching_index,
             _line_index=self._line_index,
             _goto_sites=self._goto_sites,
+            _pdt_jump_preorder=self._pdt_jump_preorder,
+            _lst_jump_preorder=self._lst_jump_preorder,
         )
 
     @property
@@ -232,6 +242,32 @@ class ProgramAnalysis:
             )
             self._goto_sites = sites
         return sites
+
+    def jump_preorder(self, tree: Tree) -> Tuple[int, ...]:
+        """The jump nodes of *tree* (``pdt`` or ``lst``) in its pre-order.
+
+        This is the Fig. 7 visit schedule: a traversal examines only
+        unconditional jumps, so the restriction visits them in the same
+        order as the full walk while skipping every other node
+        (DESIGN.md §11, "jump schedule")."""
+        if tree is self.pdt:
+            schedule = self._pdt_jump_preorder
+        elif tree is self.lst:
+            schedule = self._lst_jump_preorder
+        else:
+            raise ValueError("jump_preorder takes this analysis's pdt or lst")
+        if schedule is None:
+            nodes = self.cfg.nodes
+            schedule = tuple(
+                node_id
+                for node_id in tree.preorder()
+                if node_id in nodes and nodes[node_id].is_jump
+            )
+            if tree is self.pdt:
+                self._pdt_jump_preorder = schedule
+            else:
+                self._lst_jump_preorder = schedule
+        return schedule
 
     def reaching_defs_of(self, node_id: int, var: str):
         """Nodes whose definition of *var* may reach the entry of

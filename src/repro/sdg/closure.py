@@ -129,7 +129,6 @@ class SDGClosureIndex:
         "descend",
         "bindings",
         "unit_ranges",
-        "jump_preorder",
         "vertex_count",
         "signature",
     )
@@ -140,19 +139,12 @@ class SDGClosureIndex:
         descend: _ClosureSide,
         bindings: List[Tuple[int, int, int]],
         unit_ranges: Dict[str, Tuple[int, int]],
-        jump_preorder: Dict[str, Tuple[int, ...]],
         signature: Tuple,
     ) -> None:
         self.ascend = ascend
         self.descend = descend
         self.bindings = bindings
         self.unit_ranges = unit_ranges
-        #: Per unit: its jump nodes in postdominator-tree pre-order — the
-        #: exact Fig. 7 visit schedule, precomputed so a jump round scans
-        #: the (few) jumps instead of re-walking the whole tree and
-        #: kind-testing every node.  Pure function of the unit's CFG and
-        #: PDT, so caching it cannot change any verdict.
-        self.jump_preorder = jump_preorder
         self.vertex_count = sum(size for _, size in unit_ranges.values())
         self.signature = signature
 
@@ -307,15 +299,6 @@ def build_sdg_closure_index(sdg: SDGAnalysis) -> SDGClosureIndex:
 
         ascend = _build_side(total, merged(ascend_adj))
         descend = _build_side(total, merged(descend_adj))
-        jump_preorder = {
-            unit: tuple(
-                node_id
-                for node_id in info.analysis.pdt.preorder()
-                if (node := info.analysis.cfg.nodes.get(node_id)) is not None
-                and node.is_jump
-            )
-            for unit, info in sdg.procs.items()
-        }
         span.set(
             ascend_components=ascend.component_count,
             descend_components=descend.component_count,
@@ -326,7 +309,6 @@ def build_sdg_closure_index(sdg: SDGAnalysis) -> SDGClosureIndex:
             descend=descend,
             bindings=bindings,
             unit_ranges=unit_ranges,
-            jump_preorder=jump_preorder,
             signature=_edge_signature(sdg),
         )
 

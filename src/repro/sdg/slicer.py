@@ -449,10 +449,11 @@ class _TwoPassState:
             analysis = info.analysis
             cfg = analysis.cfg
             live_s1 = unit in pass1
-            # The index pre-filters the Fig. 7 schedule to the unit's
-            # jumps (same pre-order, non-jumps skipped either way).
+            # With the index on, walk the analysis's jump schedule (same
+            # pre-order, non-jumps skipped either way); the index-off
+            # reference keeps the full tree walk (DESIGN.md §11).
             if self.index is not None:
-                schedule = self.index.jump_preorder[unit]
+                schedule = analysis.jump_preorder(analysis.pdt)
             else:
                 schedule = analysis.pdt.preorder()
             for node_id in schedule:

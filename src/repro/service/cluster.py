@@ -317,7 +317,12 @@ class ClusterSupervisor:
             self._log(f"worker {worker.shard} failed to spawn: {error}")
             self._schedule_restart(worker, "spawn-failed")
             return False
-        port = self._read_handshake(proc)
+        try:
+            port = self._read_handshake(proc)
+        finally:
+            # The handshake is all the pipe carries: the worker points
+            # its stdout at stderr once it has printed it.
+            proc.stdout.close()
         if port is None:
             self._log(
                 f"worker {worker.shard} (pid {proc.pid}) never "
@@ -832,6 +837,9 @@ def worker_main(config_json: str) -> int:
     port = server.server_address[1]
     sys.stdout.write(f"SLANG_WORKER_PORT={port}\n")
     sys.stdout.flush()
+    # The supervisor closes the pipe after the handshake; later output
+    # goes to stderr instead of blocking on, or breaking, that pipe.
+    os.dup2(2, 1)
     drain_seconds = float(config.get("drain_seconds", 10.0))
 
     def _drain() -> None:

@@ -137,6 +137,9 @@ def agrawal_slice(
 
     resolved = resolve_criterion(analysis, criterion)
     cfg = analysis.cfg
+    # Only jumps are examined, so a traversal walks the tree's jumps in
+    # pre-order; the membership test below reads the live slice.
+    schedule = analysis.jump_preorder(order_tree)
     with trace_span("conventional-base"):
         slice_set: Set[int] = conventional_base(analysis, resolved)
     base = frozenset(slice_set)
@@ -168,10 +171,10 @@ def agrawal_slice(
         jumps_examined = 0
         jumps_added = 0
         with trace_span("fig7-traversal", round=rounds) as round_span:
-            for node_id in order_tree.preorder():
-                node = cfg.nodes.get(node_id)
-                if node is None or not node.is_jump or node_id in slice_set:
+            for node_id in schedule:
+                if node_id in slice_set:
                     continue
+                node = cfg.nodes[node_id]
                 budget_tick("fig7-jump")
                 jumps_examined += 1
                 npd = nearest_in_slice(

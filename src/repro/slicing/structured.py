@@ -138,9 +138,8 @@ def jump_repair_pass(analysis: ProgramAnalysis, slice_set: Set[int]) -> Set[int]
     changed = True
     while changed:
         changed = False
-        for node_id in analysis.pdt.preorder():
-            node = cfg.nodes.get(node_id)
-            if node is None or not node.is_jump or node_id in slice_set:
+        for node_id in analysis.jump_preorder(analysis.pdt):
+            if node_id in slice_set:
                 continue
             npd = nearest_in_slice(
                 analysis.pdt, node_id, slice_set, cfg.exit_id
@@ -203,9 +202,8 @@ def structured_slice(
     with trace_span("fig12-traversal") as span:
         jumps_examined = 0
         jumps_added = 0
-        for node_id in analysis.pdt.preorder():
-            node = cfg.nodes.get(node_id)
-            if node is None or not node.is_jump or node_id in slice_set:
+        for node_id in analysis.jump_preorder(analysis.pdt):
+            if node_id in slice_set:
                 continue
             if not _controlled_by_slice_predicate(
                 analysis, node_id, slice_set

@@ -17,9 +17,13 @@ robustness milestone):
 * a corrupted store entry is quarantined and recomputed, never served.
 """
 
+import gc
 import json
+import os
+import signal
 import time
 import urllib.request
+import warnings
 
 import pytest
 
@@ -282,6 +286,41 @@ class TestCrashRecovery:
             assert client.stats()["recovered"] >= 1
         finally:
             supervisor.stop(drain=True)
+
+
+class TestWorkerPipes:
+    def test_restart_leaks_no_stdout_pipe(self):
+        """The handshake is the only thing a worker writes to its stdout
+        pipe, so the supervisor closes the pipe once the handshake is
+        read.  Before that, each restart dropped a ``Popen`` with its
+        pipe still open, and the collector reported the leak."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            supervisor = ClusterSupervisor(fast_config(workers=1))
+            supervisor.start()
+            try:
+                worker = supervisor._workers[0]
+                first = worker.proc
+                assert first.stdout.closed
+                os.kill(first.pid, signal.SIGKILL)
+                deadline = time.monotonic() + 30.0
+                while time.monotonic() < deadline and not (
+                    worker.restarts >= 1 and worker.alive
+                ):
+                    time.sleep(0.05)
+                assert worker.restarts >= 1 and worker.alive
+                assert worker.proc is not first
+                assert worker.proc.stdout.closed
+            finally:
+                supervisor.stop(drain=True)
+            del first, worker
+            gc.collect()
+        leaks = [
+            str(entry.message)
+            for entry in caught
+            if issubclass(entry.category, ResourceWarning)
+        ]
+        assert leaks == []
 
 
 class TestWarmRestart:

@@ -78,19 +78,23 @@ class TestBuildStructure:
             assert f_in_bit != ai_bit
 
     def test_jump_schedule_is_the_pdt_preorder_restriction(self):
+        # The indexed jump round walks each unit analysis's jump
+        # schedule (ProgramAnalysis.jump_preorder).
         sdg = _sdg()
-        index = build_sdg_closure_index(sdg)
+        schedules = {}
         for unit, info in sdg.procs.items():
-            cfg = info.analysis.cfg
+            analysis = info.analysis
+            cfg = analysis.cfg
             expected = tuple(
                 node_id
-                for node_id in info.analysis.pdt.preorder()
+                for node_id in analysis.pdt.preorder()
                 if node_id in cfg.nodes and cfg.nodes[node_id].is_jump
             )
-            assert index.jump_preorder[unit] == expected
+            schedules[unit] = analysis.jump_preorder(analysis.pdt)
+            assert schedules[unit] == expected
         # COMBINE's return is a jump; the schedule must not be empty
         # everywhere or the optimization would be untested.
-        assert any(index.jump_preorder.values())
+        assert any(schedules.values())
 
     def test_encode_decode_roundtrip(self):
         sdg = _sdg()
