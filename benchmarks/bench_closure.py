@@ -31,6 +31,7 @@ reporter.
 from __future__ import annotations
 
 import json
+import statistics
 import sys
 import time
 
@@ -53,6 +54,10 @@ SIZES = [300, 600, 1200]
 #: Smoke mode re-times the tiny fig3a workload; the indexed path must
 #: not be slower (2% tolerance so timer noise cannot flake the gate).
 SMOKE_TOLERANCE = 1.02
+#: Timed trials per side in :func:`measure`.  The fast side at 300 nodes
+#: takes ~11 ms, so one trial is noisy; a median of alternating trials
+#: keeps a single slow one from moving the ratio.
+TRIALS = 7
 
 
 def _workload(program):
@@ -86,23 +91,36 @@ def _best_of(fn, repeat: int = 3) -> float:
     return min(times)
 
 
-def measure(size: int, repeat: int = 3):
-    """One sized workload through both configurations."""
+def _timed_batch(analysis, criteria, engine: str, indexed: bool) -> float:
+    with dataflow_engine(engine), closure_index(indexed):
+        start = time.perf_counter()
+        _run_batch(analysis, criteria)
+        return time.perf_counter() - start
+
+
+def measure(size: int, trials: int = TRIALS):
+    """One sized workload through both configurations.
+
+    After one untimed warm-up batch per side, the sides alternate for
+    *trials* timed batches each, so host noise lands on both; each side
+    reports its median."""
     (_, program), = sized_programs("unstructured", [size])
     reference, fast, criteria = _workload(program)
-
-    with dataflow_engine("sets"), closure_index(False):
-        reference_seconds = _best_of(
-            lambda: _run_batch(reference, criteria), repeat
-        )
 
     with dataflow_engine("bitset"), closure_index(True):
         build_start = time.perf_counter()
         index = fast.pdg.ensure_closure_index()
         build_seconds = time.perf_counter() - build_start
-        fast_seconds = _best_of(
-            lambda: _run_batch(fast, criteria), repeat
-        )
+
+    reference_times, fast_times = [], []
+    for trial in range(trials + 1):
+        reference_time = _timed_batch(reference, criteria, "sets", False)
+        fast_time = _timed_batch(fast, criteria, "bitset", True)
+        if trial:
+            reference_times.append(reference_time)
+            fast_times.append(fast_time)
+    reference_seconds = statistics.median(reference_times)
+    fast_seconds = statistics.median(fast_times)
 
     return {
         "size": size,
@@ -146,7 +164,7 @@ def test_bench_multi_criterion_indexed(benchmark, size):
 
 def test_closure_speedup_at_300():
     """The acceptance-criterion check: ≥ 5× on a ≥ 300-node
-    multi-criterion workload."""
+    multi-criterion workload, median against median."""
     entry = measure(300)
     assert entry["speedup"] >= 5.0, (
         f"indexed path only {entry['speedup']:.1f}x faster on "

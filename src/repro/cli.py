@@ -114,47 +114,6 @@ def _add_trace_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_perf_args(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("performance")
-    group.add_argument(
-        "--closure-index",
-        choices=["on", "off"],
-        default="on",
-        help=(
-            "precompute the condensed closure indexes — the per-PDG "
-            "index and, for interprocedural slicing, the whole-SDG "
-            "ascend/descend index — so every backward closure and "
-            "two-pass fixpoint is answered from bitset masks (default "
-            "on; off falls back to per-query BFS and the crossing "
-            "worklist, the reference paths)"
-        ),
-    )
-    group.add_argument(
-        "--incremental",
-        choices=["on", "off"],
-        default="on",
-        help=(
-            "key analyses by per-procedure content fingerprints so an "
-            "edit to one procedure salvages every untouched unit's "
-            "CFG/PDG/closure-index (default on; off rebuilds the whole "
-            "program on any byte change, the reference path)"
-        ),
-    )
-
-
-def _apply_perf_args(args: argparse.Namespace) -> None:
-    choice = getattr(args, "closure_index", None)
-    if choice is not None:
-        from repro.pdg.closure import set_closure_index_enabled
-
-        set_closure_index_enabled(choice == "on")
-    choice = getattr(args, "incremental", None)
-    if choice is not None:
-        from repro.service.incremental import set_incremental_enabled
-
-        set_incremental_enabled(choice == "on")
-
-
 def _read_source(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -776,7 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the service protocol envelope (same bytes as POST /slice)",
     )
     _add_trace_args(p_slice)
-    _add_perf_args(p_slice)
     p_slice.set_defaults(func=_cmd_slice)
 
     p_compare = sub.add_parser(
@@ -791,7 +749,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the service protocol envelope (same bytes as POST /compare)",
     )
     _add_trace_args(p_compare)
-    _add_perf_args(p_compare)
     p_compare.set_defaults(func=_cmd_compare)
 
     p_check = sub.add_parser(
@@ -924,7 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_resilience_args(p_serve)
-    _add_perf_args(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
 
     p_batch = sub.add_parser(
@@ -979,7 +935,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_trace_args(p_batch)
     _add_resilience_args(p_batch)
-    _add_perf_args(p_batch)
     p_batch.set_defaults(func=_cmd_batch)
 
     return parser
@@ -988,7 +943,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_perf_args(args)
     try:
         return args.func(args)
     except SlangError as error:

@@ -206,9 +206,6 @@ FAMILIES: Tuple[Family, ...] = (
     _counter("slang_slice_cache_evictions_total",
              "Slice memo LRU evictions.", "slice_cache", "evictions"),
     _stats_only("slice_cache", "hit_rate", RATE),
-    _gauge("slang_incremental_enabled",
-           "Whether per-unit incremental reuse is on (1) or off (0).",
-           "incremental", "enabled", merge=FIRST),
     _stats_only("incremental", "capacity", SUM),
     _counter("slang_incremental_programs_total",
              "Programs fingerprinted by the incremental path.",

@@ -20,9 +20,15 @@ results are node-for-node identical to the BFS reference, which the
 differential property suite enforces across every registry algorithm.
 
 Construction is budget-ticked (phase ``"closure-index"``) and traced
-under its own span.  Under deadline pressure the caller should skip
-building and fall back to BFS — :func:`index_build_allowed` encodes the
-rule — because an index built at the deadline's edge helps nobody.
+under its own span.  A build that outruns the request's deadline ends
+like any other over-deadline slice: the budget trips and the service
+degrades or reports ``budget-exceeded``.
+
+The index is always on in production.  :func:`closure_index` switches it
+off for the duration of a ``with`` block; it is the entry point the
+differential tests and the benchmarks use to reach the BFS reference.
+It stays in ``src/`` because ``perfbench/check.py`` computes its
+reference answers through it.
 """
 
 from __future__ import annotations
@@ -33,15 +39,9 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Sequence
 from repro.obs.tracer import trace_span
 from repro.service.resilience import current_budget
 
-#: Process-wide enablement knob (CLI ``--closure-index on|off``).  The
-#: index is pure acceleration, so it defaults on; the knob exists for
-#: differential testing and for benchmarking the reference path.
+#: Whether graphs build and consult the index.  The index is pure
+#: acceleration, so it is on; only :func:`closure_index` turns it off.
 _enabled = True
-
-#: Don't start an index build with less than this much wall clock left —
-#: the build would eat the remaining deadline that a plain BFS answer
-#: could have fit into.
-MIN_BUILD_HEADROOM_SECONDS = 0.05
 
 #: A condensation node: a PDG node id, or an SDG unit name.
 N = TypeVar("N")
@@ -49,11 +49,6 @@ N = TypeVar("N")
 
 def closure_index_enabled() -> bool:
     return _enabled
-
-
-def set_closure_index_enabled(enabled: bool) -> None:
-    global _enabled
-    _enabled = bool(enabled)
 
 
 @contextlib.contextmanager
@@ -66,21 +61,6 @@ def closure_index(enabled: bool) -> Iterator[None]:
         yield
     finally:
         _enabled = previous
-
-
-def index_build_allowed() -> bool:
-    """Whether a lazy index build should start right now.
-
-    False only under budget pressure: an active deadline with less than
-    :data:`MIN_BUILD_HEADROOM_SECONDS` remaining.  Node caps and
-    traversal caps are unaffected — the build ticks the budget itself
-    and aborts cleanly if they trip.
-    """
-    budget = current_budget()
-    if budget is None:
-        return True
-    remaining = budget.remaining_seconds()
-    return remaining is None or remaining >= MIN_BUILD_HEADROOM_SECONDS
 
 
 class ClosureIndex:

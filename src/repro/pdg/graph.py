@@ -12,12 +12,7 @@ from collections import deque
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.cfg.graph import seal_adjacency
-from repro.pdg.closure import (
-    ClosureIndex,
-    build_closure_index,
-    closure_index_enabled,
-    index_build_allowed,
-)
+from repro.pdg.closure import ClosureIndex, build_closure_index, closure_index_enabled
 
 CONTROL = "control"
 DATA = "data"
@@ -100,11 +95,10 @@ class ProgramDependenceGraph:
         return [src for src, _, _ in self._back.get(node, [])]
 
     def ensure_closure_index(self) -> Optional[ClosureIndex]:
-        """Build (or return) the closure index, honouring the global
-        enablement knob and the budget-pressure skip rule.
+        """Build (or return) the closure index.
 
-        Returns None when the index is disabled or deferred; callers
-        then take the BFS path.  The index is assembled fully before the
+        Returns None only inside ``closure_index(False)``; callers then
+        take the BFS path.  The index is assembled fully before the
         single attribute assignment, so a budget abort mid-build leaves
         no partial state and a concurrent reader sees either nothing or
         a complete index.
@@ -113,8 +107,6 @@ class ProgramDependenceGraph:
             return None
         index = self._closure_index
         if index is None:
-            if not index_build_allowed():
-                return None
             index = build_closure_index(sorted(self.nodes), self._suppliers)
             self._closure_index = index
         return index
@@ -124,8 +116,8 @@ class ProgramDependenceGraph:
         the conventional slice as a node set.
 
         Served from the closure index when enabled (one mask OR per
-        seed); the BFS below is the reference path and the fallback
-        under budget pressure."""
+        seed); the BFS below is the reference path, reached only inside
+        ``closure_index(False)``."""
         index = self.ensure_closure_index()
         if index is not None:
             return index.backward_closure(seeds)

@@ -229,12 +229,12 @@ def _stitch(info: ProcedureInfo, callee_pairs: Dict[str, Pairs]) -> StitchedUnit
 
 
 def _unit_analysis(
-    program: Program, unit: str, cache, digests, options
+    program: Program, unit: str, cache, digests
 ) -> ProgramAnalysis:
     """One procedure's analysis: salvaged from the unit cache when its
     fingerprint hits, else built (and cached when there is a cache)."""
     if cache is None:
-        return analyze_program(program, unit=unit, **options)
+        return analyze_program(program, unit=unit)
     record = cache.get_unit(digests[unit])
     if record is not None:
         cache.stats.record("units_reused")
@@ -243,7 +243,7 @@ def _unit_analysis(
             Program(body=proc.body, source=program.source, procs=program.procs)
         )
     cache.stats.record("units_built")
-    analysis = analyze_program(program, unit=unit, **options)
+    analysis = analyze_program(program, unit=unit)
     cache.put_unit(digests[unit], analysis)
     return analysis
 
@@ -323,24 +323,17 @@ def _summarize(
 def build_sdg(
     source_or_program: Union[str, Program],
     main_analysis: Optional[ProgramAnalysis] = None,
-    fuse_cond_goto: bool = True,
-    chain_io: bool = True,
-    dominator_algorithm: str = "iterative",
 ) -> SDGAnalysis:
     """Build the SDG: one analysis per unit, stitched, summary edges
     computed callees-first to the least fixed point.
 
     ``main_analysis`` lets the service reuse its cached main-unit
-    analysis instead of rebuilding it; the remaining units are analysed
-    with the same front-end options.  When it carries a unit cache (the
-    incremental front end attaches one), procedure analyses and stitched
-    local graphs are salvaged from it; the graph is the same either way.
+    analysis instead of rebuilding it.  Every unit is analysed with the
+    default front-end options, the ones the service uses.  When it
+    carries a unit cache (the incremental front end attaches one),
+    procedure analyses and stitched local graphs are salvaged from it;
+    the graph is the same either way.
     """
-    options = dict(
-        fuse_cond_goto=fuse_cond_goto,
-        chain_io=chain_io,
-        dominator_algorithm=dominator_algorithm,
-    )
     with trace_span("sdg-build") as span:
         if isinstance(source_or_program, str):
             with trace_span("parse", bytes=len(source_or_program)):
@@ -363,16 +356,14 @@ def build_sdg(
         for unit in graph.units:
             with trace_span("sdg-unit", unit=unit):
                 if unit != MAIN_UNIT:
-                    analysis = _unit_analysis(
-                        program, unit, cache, digests, options
-                    )
+                    analysis = _unit_analysis(program, unit, cache, digests)
                 elif main_analysis is not None:
                     # A shell, not the analysis itself: the analysis
                     # memoizes this SDG, and a back-edge would make
                     # every evicted analysis cyclic garbage.
                     analysis = main_analysis.rebind(program)
                 else:
-                    analysis = analyze_program(program, **options)
+                    analysis = analyze_program(program)
                 cfg = analysis.cfg
                 info = ProcedureInfo(
                     name=unit,

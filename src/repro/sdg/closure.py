@@ -39,11 +39,14 @@ round's live additions are unit-local closures already served by the
 per-unit PDG index, and every post-jump re-fixpoint is two mask ORs
 here, so the closure portion of the whole computation is O(masks).
 
-Lifecycle mirrors :mod:`repro.pdg.closure`: lazily built behind the same
-``--closure-index`` knob (plus an SDG-only override for differential
-benchmarks), budget-ticked under the ``closure-index`` phase, traced,
-skipped under deadline pressure, and invalidated when the stitched
-graphs mutate.  Each SDG builds its own index: an edited program gets a
+Lifecycle mirrors :mod:`repro.pdg.closure`: lazily built, budget-ticked
+under the ``closure-index`` phase, traced, and invalidated when the
+stitched graphs mutate.  Production always builds it.  The differential
+tests and the benchmarks reach the two-pass worklist reference through
+:func:`sdg_closure_index` (just this index) or
+:func:`repro.pdg.closure.closure_index` (both levels); both stay in
+``src/`` because ``perfbench/check.py`` computes its reference answers
+through them.  Each SDG builds its own index: an edited program gets a
 new SDG and so a new index, while the per-unit PDG indexes inside it
 survive the edit with their salvaged units (DESIGN.md §14).
 """
@@ -55,18 +58,14 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 from repro.analysis.bitset import iter_bits, popcount as _popcount
 from repro.obs.tracer import trace_span
-from repro.pdg.closure import (
-    closure_index_enabled,
-    condense,
-    index_build_allowed,
-)
+from repro.pdg.closure import closure_index_enabled, condense
 from repro.sdg.builder import SDGAnalysis
 from repro.service.resilience import current_budget
 
-#: SDG-level override: ``None`` follows the process-wide
-#: ``--closure-index`` knob; True/False force just the SDG index (the
-#: benchmark's reference configuration is per-unit index on, SDG index
-#: off — exactly the pre-index slicer).
+#: SDG-level override: ``None`` follows
+#: :func:`repro.pdg.closure.closure_index`; True/False force just the
+#: SDG index (the benchmark's reference configuration is per-unit index
+#: on, SDG index off — exactly the pre-index slicer).
 _forced: Optional[bool] = None
 
 
@@ -79,7 +78,7 @@ def sdg_index_enabled() -> bool:
 @contextlib.contextmanager
 def sdg_closure_index(enabled: Optional[bool]) -> Iterator[None]:
     """Temporarily force just the SDG index on or off (tests, benches);
-    ``None`` restores deference to the process-wide knob."""
+    ``None`` restores deference to :func:`closure_index_enabled`."""
     global _forced
     previous = _forced
     _forced = enabled if enabled is None else bool(enabled)
@@ -314,7 +313,7 @@ def build_sdg_closure_index(sdg: SDGAnalysis) -> SDGClosureIndex:
 
 
 # ---------------------------------------------------------------------------
-# Lifecycle: knob, pressure, invalidation, build lock
+# Lifecycle: invalidation, build lock
 # ---------------------------------------------------------------------------
 
 
@@ -322,12 +321,12 @@ def ensure_sdg_index(
     sdg: SDGAnalysis,
 ) -> Tuple[Optional[SDGClosureIndex], Dict[str, int]]:
     """Return (index, events) — the memoized index when fresh, else a
-    newly built one; ``None`` when disabled or deferred under deadline
-    pressure (callers then take the worklist path).
+    newly built one; ``None`` only inside ``sdg_closure_index(False)``
+    or ``closure_index(False)`` (callers then take the worklist path).
 
     ``events`` counts what happened this call under the service's
-    ``sdg-index:*`` event names (``builds``, ``pressure-skips``), which
-    ``slang_events_total`` exports.
+    ``sdg-index:builds`` event name, which ``slang_events_total``
+    exports.
     """
     events: Dict[str, int] = {}
     if not sdg_index_enabled():
@@ -336,9 +335,6 @@ def ensure_sdg_index(
     index = sdg._closure_index
     if index is not None and index.signature == signature:
         return index, events
-    if not index_build_allowed():
-        events["sdg-index:pressure-skips"] = 1
-        return None, events
     with sdg._closure_index_lock:
         index = sdg._closure_index
         if index is not None and index.signature == signature:

@@ -319,8 +319,8 @@ class _TwoPassState:
         point is computed as mask closures (``_fixpoint_masked``); the
         rule set is identical and monotone, so the fixed point is too —
         the differential suite holds the two paths node-for-node equal.
-        The worklist below remains the reference and the fallback when
-        the index is disabled or deferred under deadline pressure.
+        The worklist below remains the reference, reached only when a
+        test or benchmark switches the index off.
         """
         if self.index is not None:
             self._fixpoint_masked()

@@ -3,9 +3,17 @@
 Every slicing request needs the same criterion-independent artefacts —
 CFG, postdominator tree, lexical successor tree, control and data
 dependence, PDG — and building them dwarfs the cost of one slice query.
-The cache keys a program by the SHA-256 of its source text (plus the
-analysis options, which change the CFG shape), so identical programs
-submitted by different clients share one :class:`ProgramAnalysis`.
+The cache keys a program by the SHA-256 of its source text, so identical
+programs submitted by different clients share one
+:class:`ProgramAnalysis`.  The service always analyses with the default
+front-end options; :func:`repro.pdg.builder.analyze_program` remains the
+entry point for the others.
+
+Whole-program misses go through the incremental front end
+(:mod:`repro.service.incremental`).  ``incremental(False)`` makes them
+build cold instead; the differential tests and the benchmarks use it to
+reach the reference, and :meth:`AnalysisCache.get_or_build` is the only
+place that reads it.
 
 Thread safety: all bookkeeping happens under one lock; the analysis
 build itself runs *outside* the lock so a slow build never blocks cache
@@ -45,18 +53,16 @@ from repro.service.incremental import (
 )
 
 
-def analysis_key(
-    source: str,
-    fuse_cond_goto: bool = True,
-    chain_io: bool = True,
-    dominator_algorithm: str = "iterative",
-) -> str:
-    """The content address of one analysis: source hash + options."""
-    digest = hashlib.sha256()
-    digest.update(
-        f"v1|{int(fuse_cond_goto)}|{int(chain_io)}|"
-        f"{dominator_algorithm}|".encode("utf-8")
-    )
+#: Every content address starts with these bytes.  ``1|1|iterative``
+#: records the analysis options the service always uses (fused
+#: conditional gotos, chained IO, iterative dominators); it stays so that
+#: durable-store keys keep their bytes.
+_KEY_HEADER = b"v1|1|1|iterative|"
+
+
+def analysis_key(source: str) -> str:
+    """The content address of one analysis: a hash of the source."""
+    digest = hashlib.sha256(_KEY_HEADER)
     digest.update(source.encode("utf-8"))
     return digest.hexdigest()
 
@@ -166,12 +172,7 @@ class AnalysisCache:
             return entry.memo
 
     def get_or_build(
-        self,
-        source: str,
-        fuse_cond_goto: bool = True,
-        chain_io: bool = True,
-        dominator_algorithm: str = "iterative",
-        max_nodes: Optional[int] = None,
+        self, source: str, max_nodes: Optional[int] = None
     ) -> ProgramAnalysis:
         """The main entry point: return the cached analysis of *source*,
         building (and caching) it on a miss.
@@ -184,28 +185,15 @@ class AnalysisCache:
         it).  Cache hits are re-checked too: caps are per request, not
         per program.
         """
-        key = analysis_key(
-            source, fuse_cond_goto, chain_io, dominator_algorithm
-        )
+        key = analysis_key(source)
         with trace_span("cache-lookup") as span:
             analysis = self.get(key)
             span.set(hit=analysis is not None)
         if analysis is None:
             if incremental_enabled():
-                analysis = incremental_analyze(
-                    source,
-                    fuse_cond_goto=fuse_cond_goto,
-                    chain_io=chain_io,
-                    dominator_algorithm=dominator_algorithm,
-                    cache=self.unit_cache,
-                )
+                analysis = incremental_analyze(source, self.unit_cache)
             else:
-                analysis = analyze_program(
-                    source,
-                    fuse_cond_goto=fuse_cond_goto,
-                    chain_io=chain_io,
-                    dominator_algorithm=dominator_algorithm,
-                )
+                analysis = analyze_program(source)
             analysis._content_key = key
             analysis = self.put(key, analysis)
         if max_nodes is not None and len(analysis.cfg.nodes) > max_nodes:
@@ -287,9 +275,9 @@ class SliceMemo:
     """A bounded LRU of slice results for **one** ``ProgramAnalysis``.
 
     Keyed by ``(algorithm, line, var)``: the analysis itself pins the
-    program source and every analysis option (it is content-addressed by
-    :func:`analysis_key`), and criterion resolution is deterministic, so
-    those three values determine the slice completely.  Soundness rests
+    program source (it is content-addressed by :func:`analysis_key`),
+    and criterion resolution is deterministic, so those three values
+    determine the slice completely.  Soundness rests
     on ``ProgramAnalysis`` being immutable after construction (DESIGN.md
     §7) — a memoized :class:`~repro.slicing.common.SliceResult` is the
     byte-identical answer a recomputation would produce.

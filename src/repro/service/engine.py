@@ -723,14 +723,12 @@ class SlicingEngine:
         same-source requests share the cached analysis, whose memoized
         SDG carries the index after the first build.)  Best-effort:
         budget aborts here are swallowed, the per-slice path owns error
-        reporting and the worklist fallback."""
+        reporting."""
         if algorithm != "interprocedural" or not analysis.program.procs:
             return
         from repro.sdg.builder import sdg_for_analysis
-        from repro.sdg.closure import ensure_sdg_index, sdg_index_enabled
+        from repro.sdg.closure import ensure_sdg_index
 
-        if not sdg_index_enabled():
-            return
         try:
             with trace_span("sdg-index-prewarm"):
                 _, events = ensure_sdg_index(sdg_for_analysis(analysis))

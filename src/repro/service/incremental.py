@@ -12,7 +12,6 @@ fingerprints** instead.  A program is split at ``proc`` boundaries
 (single-proc programs are one unit, ``main``); each unit's fingerprint
 covers exactly what its analysis consumes:
 
-* the analysis options (they change CFG shape);
 * the unit's kind, name and parameter list;
 * the canonical pretty-printed body (so comment and whitespace edits
   do not invalidate anything);
@@ -71,12 +70,15 @@ budget abort raises before the slicer reaches the record step, and the
 engine's degrade path (see ``SlicingEngine._degrade``) never feeds the
 memo/store tiers.
 
-The process-wide knob (CLI ``--incremental on|off``) mirrors
-:mod:`repro.pdg.closure`: incremental reuse is pure acceleration — the
-differential property suite asserts node-for-node identity with a cold
-rebuild — so it defaults on.  Off, the analysis cache attaches no unit
-cache, so the SDG builder runs cold, and the slice salvage tier stands
-aside.
+Incremental reuse is pure acceleration — the differential property
+suite asserts node-for-node identity with a cold rebuild — so production
+always runs it.  :func:`incremental` switches it off for the duration of
+a ``with`` block; it is the entry point the differential tests and the
+benchmarks use to reach the cold rebuild, and it stays in ``src/``
+because ``perfbench/check.py`` computes its reference answers through
+it.  Off, :meth:`~repro.service.cache.AnalysisCache.get_or_build` (the
+only reader of the flag) attaches no unit cache, so the SDG builder
+runs cold and the slice salvage tier stands aside.
 
 The whole-SDG closure index is deliberately *not* a tier here: an
 edited program's SDG builds a fresh one (:mod:`repro.sdg.closure`).
@@ -107,17 +109,19 @@ from repro.sdg.params import MAIN_SIGNATURE, ParamSignature
 #: Fingerprint schema version; bump to invalidate every cached unit.
 FINGERPRINT_VERSION = "v1"
 
-#: Process-wide enablement knob (CLI ``--incremental on|off``).
+#: Every fingerprint starts with these bytes.  ``1|1|iterative`` records
+#: the analysis options the service always uses (fused conditional
+#: gotos, chained IO, iterative dominators); it stays so that
+#: fingerprints keep their bytes.
+_FINGERPRINT_HEADER = f"{FINGERPRINT_VERSION}|1|1|iterative|".encode("utf-8")
+
+#: Whether the analysis cache salvages units; only :func:`incremental`
+#: turns it off.
 _enabled = True
 
 
 def incremental_enabled() -> bool:
     return _enabled
-
-
-def set_incremental_enabled(enabled: bool) -> None:
-    global _enabled
-    _enabled = bool(enabled)
 
 
 @contextlib.contextmanager
@@ -153,27 +157,17 @@ def _call_interface(
     return graph.callees, sigs
 
 
-def unit_fingerprints(
-    program: Program,
-    fuse_cond_goto: bool = True,
-    chain_io: bool = True,
-    dominator_algorithm: str = "iterative",
-) -> Dict[str, str]:
+def unit_fingerprints(program: Program) -> Dict[str, str]:
     """Per-unit content addresses: unit name → hex digest.
 
     Two units with equal fingerprints produce identical analyses
-    (CFG/PDT/LST/CDG/DDG/PDG, node ids, absolute lines) under the same
-    options — the invariant every salvage below rests on.
+    (CFG/PDT/LST/CDG/DDG/PDG, node ids, absolute lines) — the invariant
+    every salvage below rests on.
     """
     callees, sigs = _call_interface(program)
-    header = (
-        f"{FINGERPRINT_VERSION}|{int(fuse_cond_goto)}|{int(chain_io)}|"
-        f"{dominator_algorithm}|"
-    )
     out: Dict[str, str] = {}
     for unit, body in program.units():
-        digest = hashlib.sha256()
-        digest.update(header.encode("utf-8"))
+        digest = hashlib.sha256(_FINGERPRINT_HEADER)
         sig = sigs[unit]
         digest.update(f"unit:{_signature_facts(sig)}\n".encode("utf-8"))
         for callee in sorted(callees.get(unit, ())):
@@ -549,7 +543,6 @@ class UnitCache:
             spans = len(self._spans)
             slices = len(self._slices)
         payload: Dict[str, object] = {
-            "enabled": incremental_enabled(),
             "capacity": self.capacity,
             "entries": entries,
             "stitched_entries": stitched,
@@ -566,11 +559,7 @@ class UnitCache:
 
 
 def incremental_analyze(
-    source: str,
-    fuse_cond_goto: bool = True,
-    chain_io: bool = True,
-    dominator_algorithm: str = "iterative",
-    cache: Optional[UnitCache] = None,
+    source: str, cache: Optional[UnitCache] = None
 ) -> ProgramAnalysis:
     """Analyse *source*, salvaging the main unit from *cache* when its
     fingerprint matches a previously analysed unit.
@@ -585,12 +574,7 @@ def incremental_analyze(
     with trace_span("parse", bytes=len(source), incremental=True):
         program = incremental_parse(source, cache)
     with trace_span("unit-fingerprints", units=len(program.procs) + 1):
-        digests = unit_fingerprints(
-            program,
-            fuse_cond_goto=fuse_cond_goto,
-            chain_io=chain_io,
-            dominator_algorithm=dominator_algorithm,
-        )
+        digests = unit_fingerprints(program)
     cache.stats.record("programs")
     record = cache.get_unit(digests[MAIN_UNIT])
     if record is not None:
@@ -598,12 +582,7 @@ def incremental_analyze(
         analysis = record.analysis.rebind(program)
     else:
         cache.stats.record("units_built")
-        analysis = analyze_program(
-            program,
-            fuse_cond_goto=fuse_cond_goto,
-            chain_io=chain_io,
-            dominator_algorithm=dominator_algorithm,
-        )
+        analysis = analyze_program(program)
         # The cache keeps a shell: the analysis points at the cache, so
         # holding the analysis itself would close a cycle.
         cache.put_unit(digests[MAIN_UNIT], analysis.rebind(program))
@@ -629,10 +608,9 @@ def _slice_salvage_key(criterion) -> Tuple:
 
 def _salvage_facts(analysis: ProgramAnalysis, sdg):
     """(cache, digests, pairs) when the analysis/SDG pair carries the
-    incremental bookkeeping, else ``None`` — monolithic builds (knob
-    off, direct ``build_sdg`` callers) never hit the salvage path."""
-    if not incremental_enabled():
-        return None
+    incremental bookkeeping, else ``None`` — monolithic builds
+    (``analyze_program``, which the analysis cache also runs inside
+    ``incremental(False)``) never hit the salvage path."""
     if analysis._unit_cache is None:
         return None
     return analysis._unit_cache, analysis._unit_digests, sdg.unit_pairs

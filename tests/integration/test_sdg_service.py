@@ -253,11 +253,7 @@ class TestSDGObservability:
         status, text = _get(http_server, "/metrics.prom")
         assert status == 200
         series = parse_prometheus(text)["slang_events_total"]
-        for event in (
-            "sdg-index:builds",
-            "sdg-index:mask-hits",
-            "sdg-index:pressure-skips",
-        ):
+        for event in ("sdg-index:builds", "sdg-index:mask-hits"):
             if event in events:
                 assert series[(("event", event),)] == events[event], event
             else:

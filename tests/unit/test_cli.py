@@ -295,30 +295,6 @@ class TestGraph:
 
 
 class TestClosureIndexFlag:
-    def test_off_disables_the_index_for_the_run(self, fig3_file, capsys):
-        from repro.pdg.closure import closure_index_enabled
-
-        code = main(
-            [
-                "slice",
-                fig3_file,
-                "--line",
-                "9",
-                "--var",
-                "z",
-                "--closure-index",
-                "off",
-            ]
-        )
-        assert code == 0
-        capsys.readouterr()
-        # The knob is applied for the invocation; restore the default
-        # for the rest of the suite.
-        assert not closure_index_enabled()
-        from repro.pdg.closure import set_closure_index_enabled
-
-        set_closure_index_enabled(True)
-
     def test_on_is_the_default(self, fig3_file, capsys):
         from repro.pdg.closure import closure_index_enabled
 
@@ -326,18 +302,3 @@ class TestClosureIndexFlag:
         assert code == 0
         capsys.readouterr()
         assert closure_index_enabled()
-
-    def test_rejects_unknown_value(self, fig3_file, capsys):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "slice",
-                    fig3_file,
-                    "--line",
-                    "9",
-                    "--var",
-                    "z",
-                    "--closure-index",
-                    "maybe",
-                ]
-            )

@@ -2,9 +2,9 @@
 
 Covers the raw index (Tarjan condensation + mask closure on hand-built
 graphs), the lazy wiring on :class:`ProgramDependenceGraph` (build,
-invalidation on mutation, enablement knob, budget-pressure skip), and
-the lazy build on a served program's first slice.  Whole-registry
-identity over random programs lives in
+invalidation on mutation, the ``closure_index`` context manager, builds
+under every budget shape), and the lazy build on a served program's
+first slice.  Whole-registry identity over random programs lives in
 ``tests/property/test_engine_differential.py``.
 """
 
@@ -14,14 +14,7 @@ import pytest
 
 from repro.corpus import PAPER_PROGRAMS
 from repro.pdg.builder import analyze_program
-from repro.pdg.closure import (
-    MIN_BUILD_HEADROOM_SECONDS,
-    build_closure_index,
-    closure_index,
-    closure_index_enabled,
-    index_build_allowed,
-    set_closure_index_enabled,
-)
+from repro.pdg.closure import build_closure_index, closure_index, closure_index_enabled
 from repro.pdg.graph import ProgramDependenceGraph
 from repro.service.cache import analysis_key
 from repro.service.engine import SlicingEngine
@@ -172,41 +165,44 @@ class TestPdgWiring:
         assert closure_index_enabled()
 
     def test_set_enabled_roundtrip(self):
-        set_closure_index_enabled(False)
-        try:
-            assert not closure_index_enabled()
-        finally:
-            set_closure_index_enabled(True)
+        with pytest.raises(RuntimeError):
+            with closure_index(False):
+                assert not closure_index_enabled()
+                raise RuntimeError("boom")
         assert closure_index_enabled()
 
 
 class TestBudgetPressure:
-    def test_allowed_without_budget(self):
-        assert index_build_allowed()
+    """No budget shape stops the index from being built: a build that
+    outruns the deadline trips the budget like any other slice work."""
 
-    def test_allowed_with_roomy_deadline(self):
-        with use_budget(Budget(deadline_seconds=60.0)):
-            assert index_build_allowed()
-
-    def test_allowed_with_no_deadline_dimension(self):
-        with use_budget(Budget(max_nodes=10_000)):
-            assert index_build_allowed()
-
-    def test_skipped_near_the_deadline(self):
-        tight = MIN_BUILD_HEADROOM_SECONDS / 10
-        with use_budget(Budget(deadline_seconds=tight)):
-            assert not index_build_allowed()
-
-    def test_build_deferred_but_query_answered(self):
+    def _builds_under(self, budget):
         pdg = ProgramDependenceGraph()
         pdg.add_edge(1, 2, "data")
-        tight = MIN_BUILD_HEADROOM_SECONDS / 10
-        with use_budget(Budget(deadline_seconds=tight)):
-            assert pdg.ensure_closure_index() is None
-            assert pdg.backward_closure([2]) == {1, 2}
-        # Pressure gone: the next query builds the index.
-        assert pdg.backward_closure([2]) == {1, 2}
+        with use_budget(budget):
+            assert pdg.ensure_closure_index() is not None
+
+    def test_allowed_without_budget(self):
+        self._builds_under(None)
+
+    def test_allowed_with_roomy_deadline(self):
+        self._builds_under(Budget(deadline_seconds=60.0))
+
+    def test_allowed_with_no_deadline_dimension(self):
+        self._builds_under(Budget(max_nodes=10_000))
+
+    def test_tight_deadline_closure_matches_bfs(self):
+        """Under a live 30 ms deadline the first query builds the index
+        and every closure still equals the BFS reference."""
+        pdg = analyze_program(FIG3A).pdg
+        nodes = sorted(pdg.nodes)
+        assert pdg._closure_index is None
+        with use_budget(Budget(deadline_seconds=0.03)):
+            fast = [pdg.backward_closure([node]) for node in nodes]
         assert pdg._closure_index is not None
+        with closure_index(False):
+            reference = [pdg.backward_closure([node]) for node in nodes]
+        assert fast == reference
 
 
 class TestLazyIndex:

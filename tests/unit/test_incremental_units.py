@@ -18,6 +18,7 @@ import random
 
 import pytest
 
+from repro.corpus import PAPER_PROGRAMS
 from repro.lang.parser import parse_program
 from repro.pdg.builder import analyze_program
 from repro.service.cache import AnalysisCache
@@ -28,7 +29,6 @@ from repro.service.incremental import (
     incremental,
     incremental_enabled,
     incremental_parse,
-    set_incremental_enabled,
     split_source,
     unit_fingerprints,
 )
@@ -48,6 +48,24 @@ proc inner(a, out) {
 
 proc orphan(z) {
     z = 0;
+}
+"""
+
+#: ``examples/interprocedural/combine.sl``.
+COMBINE = """\
+read(x);
+read(y);
+call combine(x, y, s);
+call combine(y, y, t);
+write(s);
+write(t);
+
+proc combine(a, b, r) {
+    r = a * b;
+    if (a > b) {
+        return;
+    }
+    r = r + a;
 }
 """
 
@@ -97,14 +115,17 @@ class TestFingerprints:
         assert edited["main"] != base["main"]
         assert edited["orphan"] == base["orphan"]
 
-    def test_options_are_part_of_the_address(self):
-        program = parse_program(CHAIN)
-        assert unit_fingerprints(program, fuse_cond_goto=True) != (
-            unit_fingerprints(program, fuse_cond_goto=False)
-        )
-        assert unit_fingerprints(program, chain_io=True) != (
-            unit_fingerprints(program, chain_io=False)
-        )
+    def test_fingerprints_are_pinned(self):
+        """Unit-cache entries are keyed by these digests; fig3a and
+        ``examples/interprocedural/combine.sl`` keep their bytes."""
+        fig3a = PAPER_PROGRAMS["fig3a"].source
+        assert fingerprints(fig3a) == {
+            "main": "6685c47ec1ae0c2a3b32a102c4f9864a95077baf8690455224368ef11117be39",
+        }
+        assert fingerprints(COMBINE) == {
+            "main": "a9fc186a0daba66349af48f46babdfc98408ddf4b065e044245c7c4ad61a186c",
+            "combine": "2cd8138af091938dd9e3f12e488db6e6937d60aaea3c89450768b15ee589eb4b",
+        }
 
 
 def lines_of(program):

@@ -347,7 +347,6 @@ class TestSDGIndexFamily:
         "sdg:pass2-visits",
         "sdg-index:builds",
         "sdg-index:mask-hits",
-        "sdg-index:pressure-skips",
     )
 
     def test_counters_reconcile_with_events(self):

@@ -1,18 +1,14 @@
 """Unit tests for the whole-SDG closure index lifecycle: build
 structure (edge partitions, binding triples, jump schedule), the
 encode/decode mask layer, the enablement knob at both levels,
-memoization and invalidation on SDG mutation, and budget-pressure
-deferral."""
+memoization and invalidation on SDG mutation, and builds under a tight
+deadline."""
 
 import pytest
 
 from repro.lang.ast_nodes import MAIN_UNIT
 from repro.pdg.builder import analyze_program
-from repro.pdg.closure import (
-    MIN_BUILD_HEADROOM_SECONDS,
-    closure_index_enabled,
-    closure_index,
-)
+from repro.pdg.closure import closure_index_enabled, closure_index
 from repro.sdg.builder import sdg_for_analysis
 from repro.sdg.closure import (
     SDGClosureIndex,
@@ -21,7 +17,9 @@ from repro.sdg.closure import (
     sdg_closure_index,
     sdg_index_enabled,
 )
+from repro.sdg.slicer import sdg_slice
 from repro.service.resilience import Budget, use_budget
+from repro.slicing.criterion import SlicingCriterion
 
 COMBINE = """\
 read(x);
@@ -184,22 +182,30 @@ class TestLifecycle:
         assert events == {"sdg-index:builds": 1}
         assert second.signature != first.signature
 
-    def test_pressure_defers_the_build(self):
+    def test_tight_deadline_slice_matches_worklist(self):
+        """Under a live 30 ms deadline the slice builds the index and
+        still equals the two-pass worklist reference."""
+        criteria = [
+            SlicingCriterion(line=5, var="s"),
+            SlicingCriterion(line=6, var="t"),
+            SlicingCriterion(line=13, var="r", proc="combine"),
+        ]
         sdg = _sdg()
-        tight = MIN_BUILD_HEADROOM_SECONDS / 10
-        with sdg_closure_index(True):
-            with use_budget(Budget(deadline_seconds=tight)):
-                index, events = ensure_sdg_index(sdg)
-            assert index is None
-            assert events == {"sdg-index:pressure-skips": 1}
-            # Once the pressure clears the build proceeds.
-            index, events = ensure_sdg_index(sdg)
-        assert isinstance(index, SDGClosureIndex)
-        assert events == {"sdg-index:builds": 1}
+        assert sdg._closure_index is None
+        with use_budget(Budget(deadline_seconds=0.03)):
+            fast = [sdg_slice(sdg, criterion) for criterion in criteria]
+        assert isinstance(sdg._closure_index, SDGClosureIndex)
+        assert fast[0].index_events["sdg-index:builds"] == 1
+        with sdg_closure_index(False):
+            reference = [sdg_slice(_sdg(), criterion) for criterion in criteria]
+        assert [result.per_proc for result in fast] == [
+            result.per_proc for result in reference
+        ]
+        assert not any(result.index_used for result in reference)
 
     def test_memoized_index_served_even_under_pressure(self):
         sdg = _sdg()
-        tight = MIN_BUILD_HEADROOM_SECONDS / 10
+        tight = 0.005
         with sdg_closure_index(True):
             built, _ = ensure_sdg_index(sdg)
             with use_budget(Budget(deadline_seconds=tight)):

@@ -7,6 +7,23 @@ from repro.service.cache import AnalysisCache, analysis_key
 
 FIG3A = PAPER_PROGRAMS["fig3a"].source
 FIG5A = PAPER_PROGRAMS["fig5a"].source
+#: ``examples/interprocedural/combine.sl``.
+COMBINE = """\
+read(x);
+read(y);
+call combine(x, y, s);
+call combine(y, y, t);
+write(s);
+write(t);
+
+proc combine(a, b, r) {
+    r = a * b;
+    if (a > b) {
+        return;
+    }
+    r = r + a;
+}
+"""
 
 
 class TestContentAddressing:
@@ -16,11 +33,14 @@ class TestContentAddressing:
     def test_different_source_different_key(self):
         assert analysis_key(FIG3A) != analysis_key(FIG5A)
 
-    def test_options_change_the_key(self):
-        assert analysis_key(FIG3A) != analysis_key(FIG3A, fuse_cond_goto=False)
-        assert analysis_key(FIG3A) != analysis_key(FIG3A, chain_io=False)
-        assert analysis_key(FIG3A) != analysis_key(
-            FIG3A, dominator_algorithm="lengauer-tarjan"
+    def test_keys_are_pinned(self):
+        """Durable-store keys derive from these digests: a change to the
+        key's bytes orphans every stored payload."""
+        assert analysis_key(FIG3A) == (
+            "b993a713882a9ef311500187992a16c39f0ed3f59793d5739b4d2d5471b6f2d0"
+        )
+        assert analysis_key(COMBINE) == (
+            "9f921ae5b978b537a53e1091b61ce63b9eed60afaec43a5adc9d35e0f0fdfcb9"
         )
 
 

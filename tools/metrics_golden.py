@@ -72,7 +72,6 @@ def worker_payload(shard: int) -> Dict[str, Any]:
         "sdg:pass2-visits",
         "sdg-index:builds",
         "sdg-index:mask-hits",
-        "sdg-index:pressure-skips",
         "degraded",
         "store-hit",
     ):
@@ -97,7 +96,6 @@ def worker_payload(shard: int) -> Dict[str, Any]:
         "hit_rate": _rate(30 + shard, 12 * scale),
     }
     payload["incremental"] = {
-        "enabled": True,
         "capacity": 256,
         "entries": 7 * scale,
         "stitched_entries": 3 + shard,
