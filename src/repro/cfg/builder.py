@@ -22,8 +22,7 @@ Two behaviours worth calling out:
   ``$in`` besides ``v``, and uses it; expressions calling ``eof()`` use
   ``$in``.  Successive reads are therefore linked by data dependence, so
   no correct slice can drop an earlier ``read`` while keeping a later one
-  (which would silently shift the input stream).  Disable with
-  ``chain_io=False`` to get the textbook def/use sets.
+  (which would silently shift the input stream).
 
 The builder also records, for every statement node, its **lexical
 successor**: the node control would reach if the statement were deleted.
@@ -74,7 +73,7 @@ from repro.sdg.callgraph import CallGraph, build_call_graph
 INPUT_CURSOR = "$in"
 
 
-def _expr_uses(expr: Optional[Expr], chain_io: bool) -> FrozenSet[str]:
+def _expr_uses(expr: Optional[Expr]) -> FrozenSet[str]:
     """Variables an expression reads, including ``$in`` for ``eof()``.
 
     One walk over the tree; ``Expr.variables`` plus ``Expr.calls`` would
@@ -92,7 +91,7 @@ def _expr_uses(expr: Optional[Expr], chain_io: bool) -> FrozenSet[str]:
         elif kind is Unary:
             stack.append(node.operand)
         elif kind is Call:
-            if chain_io and node.name == "eof":
+            if node.name == "eof":
                 uses.add(INPUT_CURSOR)
             stack.extend(node.args)
         elif kind is not Num:
@@ -150,9 +149,7 @@ def _checked_signatures(program: Program) -> Dict[str, params.ParamSignature]:
 class CFGBuilder:
     """Builds a :class:`ControlFlowGraph` from a validated program."""
 
-    def __init__(self, fuse_cond_goto: bool = True, chain_io: bool = True) -> None:
-        self.fuse_cond_goto = fuse_cond_goto
-        self.chain_io = chain_io
+    def __init__(self) -> None:
         self._cfg = ControlFlowGraph()
         #: Deferred goto edges: (source node id, target label, edge label).
         self._pending_gotos: List[Tuple[int, str, str]] = []
@@ -186,9 +183,7 @@ class CFGBuilder:
         formals: List[str] = []
         if proc is not None:
             signature = self._signatures[proc.name]
-            formals = list(
-                signature.formals if self.chain_io else signature.declared
-            )
+            formals = list(signature.formals)
 
         cfg = self._cfg
         cfg.unit_name = unit or MAIN_UNIT
@@ -250,10 +245,9 @@ class CFGBuilder:
     # ------------------------------------------------------------------
 
     def _fusable(self, stmt: Stmt) -> bool:
-        """True when *stmt* is ``if (e) goto L;`` and fusion is enabled."""
+        """True when *stmt* is ``if (e) goto L;``."""
         return (
-            self.fuse_cond_goto
-            and isinstance(stmt, If)
+            isinstance(stmt, If)
             and isinstance(stmt.then_branch, Goto)
             and stmt.then_branch.label is None
             and stmt.else_branch is None
@@ -261,7 +255,6 @@ class CFGBuilder:
 
     def _create_nodes(self, stmt: Stmt) -> None:
         cfg = self._cfg
-        chain = self.chain_io
         # The statement kinds are disjoint classes; the most frequent
         # ones are tested first.
         if isinstance(stmt, Block):
@@ -276,22 +269,17 @@ class CFGBuilder:
                 stmt,
                 stmt.line,
                 defs=frozenset({stmt.target}),
-                uses=_expr_uses(stmt.value, chain),
+                uses=_expr_uses(stmt.value),
                 text=f"{stmt.target} = {pretty_expr(stmt.value)}",
             )
             cfg.map_stmt(stmt, node.id)
         elif isinstance(stmt, Read):
-            defs = {stmt.target}
-            uses: FrozenSet[str] = frozenset()
-            if chain:
-                defs.add(INPUT_CURSOR)
-                uses = frozenset({INPUT_CURSOR})
             node = cfg.new_node(
                 NodeKind.READ,
                 stmt,
                 stmt.line,
-                defs=frozenset(defs),
-                uses=uses,
+                defs=frozenset({stmt.target, INPUT_CURSOR}),
+                uses=frozenset({INPUT_CURSOR}),
                 text=f"read({stmt.target})",
             )
             cfg.map_stmt(stmt, node.id)
@@ -300,7 +288,7 @@ class CFGBuilder:
                 NodeKind.WRITE,
                 stmt,
                 stmt.line,
-                uses=_expr_uses(stmt.value, chain),
+                uses=_expr_uses(stmt.value),
                 text=f"write({pretty_expr(stmt.value)})",
             )
             cfg.map_stmt(stmt, node.id)
@@ -311,7 +299,7 @@ class CFGBuilder:
                     NodeKind.CONDGOTO,
                     stmt,
                     stmt.line,
-                    uses=_expr_uses(stmt.cond, chain),
+                    uses=_expr_uses(stmt.cond),
                     text=f"if ({pretty_expr(stmt.cond)}) goto {goto.target}",
                     goto_target=goto.target,
                 )
@@ -322,7 +310,7 @@ class CFGBuilder:
                     NodeKind.PREDICATE,
                     stmt,
                     stmt.line,
-                    uses=_expr_uses(stmt.cond, chain),
+                    uses=_expr_uses(stmt.cond),
                     text=f"if ({pretty_expr(stmt.cond)})",
                 )
                 cfg.map_stmt(stmt, node.id)
@@ -335,7 +323,7 @@ class CFGBuilder:
                 NodeKind.PREDICATE,
                 stmt,
                 stmt.line,
-                uses=_expr_uses(stmt.cond, chain),
+                uses=_expr_uses(stmt.cond),
                 text=f"while ({pretty_expr(stmt.cond)})",
             )
             cfg.map_stmt(stmt, node.id)
@@ -349,7 +337,7 @@ class CFGBuilder:
                 NodeKind.PREDICATE,
                 stmt,
                 stmt.line,
-                uses=_expr_uses(stmt.cond, chain),
+                uses=_expr_uses(stmt.cond),
                 text=f"do-while ({pretty_expr(stmt.cond)})",
             )
             cfg.map_stmt(stmt, node.id)
@@ -361,7 +349,7 @@ class CFGBuilder:
                 NodeKind.PREDICATE,
                 stmt,
                 stmt.line,
-                uses=_expr_uses(cond, chain),
+                uses=_expr_uses(cond),
                 text=f"for ({pretty_expr(cond)})",
             )
             cfg.map_stmt(stmt, node.id)
@@ -374,7 +362,7 @@ class CFGBuilder:
                 NodeKind.SWITCH,
                 stmt,
                 stmt.line,
-                uses=_expr_uses(stmt.subject, chain),
+                uses=_expr_uses(stmt.subject),
                 text=f"switch ({pretty_expr(stmt.subject)})",
             )
             cfg.map_stmt(stmt, node.id)
@@ -394,7 +382,7 @@ class CFGBuilder:
                 NodeKind.RETURN,
                 stmt,
                 stmt.line,
-                uses=_expr_uses(stmt.value, self.chain_io),
+                uses=_expr_uses(stmt.value),
                 text=(
                     f"return {pretty_expr(stmt.value)}"
                     if stmt.value is not None
@@ -435,12 +423,10 @@ class CFGBuilder:
         cfg = self._cfg
         signature = self._signatures[stmt.name]
         specs = actuals_for(stmt, signature)
-        if not self.chain_io:
-            specs = [spec for spec in specs if spec.expr is not None]
         chain_ids: List[int] = []
         for spec in specs:
             if spec.expr is not None:
-                uses = _expr_uses(spec.expr, self.chain_io)
+                uses = _expr_uses(spec.expr)
                 source = pretty_expr(spec.expr)
             else:
                 uses = frozenset({INPUT_CURSOR})
@@ -695,10 +681,7 @@ class CFGBuilder:
 
 
 def build_cfg(
-    program: Program,
-    fuse_cond_goto: bool = True,
-    chain_io: bool = True,
-    unit: Optional[str] = None,
+    program: Program, unit: Optional[str] = None
 ) -> ControlFlowGraph:
     """Build the control-flow graph of one unit of *program*.
 
@@ -706,16 +689,8 @@ def build_cfg(
     ----------
     program:
         A parsed (and valid) SL program.
-    fuse_cond_goto:
-        Fuse ``if (e) goto L;`` into one CONDGOTO node (paper-faithful;
-        default on).
-    chain_io:
-        Chain ``read`` statements through the ``$in`` pseudo-variable
-        (default on; see module docstring).
     unit:
         ``None`` for the main unit; a procedure name for that
         procedure's body wrapped in its parameter nodes.
     """
-    return CFGBuilder(fuse_cond_goto=fuse_cond_goto, chain_io=chain_io).build(
-        program, unit=unit
-    )
+    return CFGBuilder().build(program, unit=unit)

@@ -562,7 +562,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 def _do_batch(args: argparse.Namespace) -> int:
     import json
 
-    from repro.service.protocol import TRANSIENT_ERROR_CODES, dump_json
     from repro.service.resilience import RetryPolicy
 
     from repro.obs.tracer import trace_span
@@ -600,49 +599,19 @@ def _do_batch(args: argparse.Namespace) -> int:
             responses = engine.run_batch(payloads, retry=retry)
     finally:
         engine.close()
-    permanent = transient = 0
-    for response in responses:
-        if not response.get("ok"):
-            code = response.get("error", {}).get("code")
-            if code in TRANSIENT_ERROR_CODES:
-                transient += 1
-            else:
-                permanent += 1
-        print(dump_json(response))
-    if permanent or transient:
-        print(
-            f"batch: {len(responses)} responses, "
-            f"{permanent} permanent failure(s), "
-            f"{transient} transient failure(s)",
-            file=sys.stderr,
-        )
-    if args.stats:
-        print(dump_json(engine.stats_payload()), file=sys.stderr)
-    if args.strict:
-        if permanent:
-            return 1
-        if transient:
-            return EXIT_TEMPFAIL
-    return 0
+    stats = [engine.stats_payload()] if args.stats else []
+    return _report_batch(args, responses, stats)
 
 
-def _batch_remote(args: argparse.Namespace, payloads, retry) -> int:
-    """``slang batch --url``: the batch over HTTP via the retrying
-    client (each request posts to its own endpoint, so a cluster
-    supervisor shards them across workers)."""
-    from repro.service.client import ServiceClient
+def _report_batch(
+    args: argparse.Namespace, responses, stats_payloads
+) -> int:
+    """Print one envelope per line, the failure summary and the stats
+    payloads; return the exit code.  A failure is transient when its
+    envelope says ``retryable`` (the engine's transient codes, and a
+    connection the client never got an answer on)."""
     from repro.service.protocol import dump_json
 
-    with ServiceClient(
-        args.url,
-        retry=retry if retry is not None else None,
-    ) as client:
-        responses = client.run_batch(
-            payloads, concurrency=args.workers or 8
-        )
-        if args.stats:
-            client_stats = client.stats()
-            status, stats = client.get("/stats")
     permanent = transient = 0
     for response in responses:
         if not response.get("ok"):
@@ -658,16 +627,33 @@ def _batch_remote(args: argparse.Namespace, payloads, retry) -> int:
             f"{transient} transient failure(s)",
             file=sys.stderr,
         )
-    if args.stats:
-        print(dump_json(client_stats), file=sys.stderr)
-        if status == 200:
-            print(dump_json(stats), file=sys.stderr)
+    for payload in stats_payloads:
+        print(dump_json(payload), file=sys.stderr)
     if args.strict:
         if permanent:
             return 1
         if transient:
             return EXIT_TEMPFAIL
     return 0
+
+
+def _batch_remote(args: argparse.Namespace, payloads, retry) -> int:
+    """``slang batch --url``: the batch over HTTP via the retrying
+    client (each request posts to its own endpoint, so a cluster
+    supervisor shards them across workers)."""
+    from repro.service.client import ServiceClient
+
+    stats = []
+    with ServiceClient(args.url, retry=retry) as client:
+        responses = client.run_batch(
+            payloads, concurrency=args.workers or 8
+        )
+        if args.stats:
+            stats.append(client.stats())
+            status, server_stats = client.get("/stats")
+            if status == 200:
+                stats.append(server_stats)
+    return _report_batch(args, responses, stats)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -308,9 +308,6 @@ class ProgramAnalysis:
 
 def analyze_program(
     source_or_program: Union[str, Program],
-    fuse_cond_goto: bool = True,
-    chain_io: bool = True,
-    dominator_algorithm: str = "iterative",
     unit: Optional[str] = None,
 ) -> ProgramAnalysis:
     """Run the full analysis pipeline on SL source text or a parsed AST.
@@ -331,12 +328,7 @@ def analyze_program(
         else:
             program = source_or_program
         with trace_span("cfg-build", unit=unit or "main"):
-            cfg = build_cfg(
-                program,
-                fuse_cond_goto=fuse_cond_goto,
-                chain_io=chain_io,
-                unit=unit,
-            )
+            cfg = build_cfg(program, unit=unit)
         if unit is not None:
             # Downstream consumers (syntactic LST rebuild, extraction)
             # read ``analysis.program.body`` as *this unit's* body, so a
@@ -346,10 +338,8 @@ def analyze_program(
                 body=proc.body, source=program.source, procs=program.procs
             )
         span.set(nodes=len(cfg.nodes))
-        with trace_span("postdominance", algorithm=dominator_algorithm):
-            pdt = build_postdominator_tree(
-                cfg, algorithm=dominator_algorithm
-            )
+        with trace_span("postdominance"):
+            pdt = build_postdominator_tree(cfg)
         with trace_span("lexical-successor-tree"):
             lst = build_lst(cfg)
         with trace_span("control-dependence"):

@@ -53,7 +53,7 @@ from repro.service.resilience import budget_round, budget_tick
 from repro.slicing.agrawal import MAX_TRAVERSALS
 from repro.slicing.common import (
     SliceResult,
-    nearest_in_slice,
+    admit_jumps,
     reassociate_labels,
 )
 from repro.slicing.criterion import (
@@ -430,10 +430,12 @@ class _TwoPassState:
     def jump_round(self) -> bool:
         """One Fig. 7 traversal per unit with slice members.
 
-        Mirrors :func:`repro.slicing.agrawal.agrawal_slice`: pre-order
-        over the unit's postdominator tree, live additions (the jump
-        plus its unit-local dependence closure join the working set
-        immediately), EXIT counting as in the slice.  A jump in a
+        The same walk as a round of
+        :func:`repro.slicing.agrawal.agrawal_slice`
+        (:func:`repro.slicing.common.admit_jumps`): pre-order over the
+        unit's postdominator tree, live additions (the jump plus its
+        unit-local dependence closure join ``s2`` immediately), EXIT
+        counting as in the slice.  A jump in a
         pass-1 unit joins ``s1`` (its dependences may ascend); one in a
         pass-2-only unit joins ``s2`` alone.  Returns True when any
         unit admitted a jump; the caller then re-runs the fixed point
@@ -447,35 +449,33 @@ class _TwoPassState:
             if not current:
                 continue
             analysis = info.analysis
-            cfg = analysis.cfg
-            live_s1 = unit in pass1
             # With the index on, walk the analysis's jump schedule (same
             # pre-order, non-jumps skipped either way); the index-off
             # reference keeps the full tree walk (DESIGN.md §11).
             if self.index is not None:
                 schedule = analysis.jump_preorder(analysis.pdt)
             else:
-                schedule = analysis.pdt.preorder()
-            for node_id in schedule:
-                node = cfg.nodes.get(node_id)
-                if node is None or not node.is_jump or node_id in current:
-                    continue
-                budget_tick("sdg-fig7-jump")
-                npd = nearest_in_slice(
-                    analysis.pdt, node_id, current, cfg.exit_id
+                nodes = analysis.cfg.nodes
+                schedule = (
+                    node_id
+                    for node_id in analysis.pdt.preorder()
+                    if (node := nodes.get(node_id)) is not None
+                    and node.is_jump
                 )
-                nls = nearest_in_slice(
-                    analysis.lst, node_id, current, cfg.exit_id
-                )
-                if npd == nls:
-                    continue
-                closure = info.local.backward_closure([node_id])
-                current.add(node_id)
-                current |= closure
-                if live_s1:
-                    self.s1[unit].add(node_id)
-                    self.s1[unit] |= closure
-                added_any = True
+            added, _ = admit_jumps(
+                analysis, schedule, current, info.local.backward_closure,
+                "sdg-fig7-jump",
+            )
+            if not added:
+                continue
+            added_any = True
+            # The walk reads only s2; a pass-1 unit's admissions also
+            # join s1, since their dependences may ascend.
+            if unit in pass1:
+                s1 = self.s1[unit]
+                for jump, closure in added.items():
+                    s1.add(jump)
+                    s1 |= closure
         return added_any
 
 

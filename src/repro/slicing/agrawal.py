@@ -18,7 +18,9 @@ of traversals may differ.  ``drive_tree="lexical"`` selects that variant
 
 Additions take effect immediately *within* a traversal — the paper's
 Fig. 3 walkthrough depends on it (node 13's inclusion is what keeps node
-11 out) — hence the inner loop consults the live slice set.
+11 out).  One traversal is :func:`repro.slicing.common.admit_jumps`,
+the walk every jump pass shares; this module adds the rounds, the
+narration and the redundant-jump prune.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ from repro.pdg.builder import ProgramAnalysis
 from repro.service.resilience import budget_round, budget_tick
 from repro.slicing.common import (
     SliceResult,
+    Verdict,
+    admit_jumps,
     conventional_base,
-    nearest_in_slice,
+    jump_verdict,
     reassociate_labels,
 )
 from repro.slicing.criterion import SlicingCriterion, resolve_criterion
@@ -79,9 +83,7 @@ def _prune_redundant_jumps(
         changed = False
         for jump in sorted(jumps):
             budget_tick("fig7-prune")
-            candidate = rebuild(jumps - {jump})
-            npd = nearest_in_slice(analysis.pdt, jump, candidate, cfg.exit_id)
-            nls = nearest_in_slice(analysis.lst, jump, candidate, cfg.exit_id)
+            npd, nls = jump_verdict(analysis, jump, rebuild(jumps - {jump}))
             if npd == nls:
                 jumps.discard(jump)
                 changed = True
@@ -89,6 +91,35 @@ def _prune_redundant_jumps(
 
     slice_set.clear()
     slice_set.update(rebuild(jumps))
+
+
+def _narrate(
+    analysis: ProgramAnalysis, verdicts: List[Verdict], traversal: int,
+    explain: List[str],
+) -> None:
+    """One explain line per examined jump of a traversal, in the style
+    of the paper's §3 walkthroughs."""
+    cfg = analysis.cfg
+    for jump, npd, nls, brought in verdicts:
+        node = cfg.nodes[jump]
+        head = (
+            f"traversal {traversal}: jump {jump} ({node.text!r}, "
+            f"line {node.line}) — "
+        )
+        if brought is None:
+            explain.append(
+                f"{head}both nearest postdominator and lexical successor "
+                f"in slice are {npd}: skip"
+            )
+            continue
+        members = sorted(
+            n for n in brought - {jump} if cfg.nodes[n].stmt is not None
+        )
+        extra = f"; closure adds {members}" if members else ""
+        explain.append(
+            f"{head}nearest postdominator in slice {npd} != nearest "
+            f"lexical successor in slice {nls}: INCLUDE{extra}"
+        )
 
 
 def agrawal_slice(
@@ -138,7 +169,7 @@ def agrawal_slice(
     resolved = resolve_criterion(analysis, criterion)
     cfg = analysis.cfg
     # Only jumps are examined, so a traversal walks the tree's jumps in
-    # pre-order; the membership test below reads the live slice.
+    # pre-order; the walk's membership test reads the live slice.
     schedule = analysis.jump_preorder(order_tree)
     with trace_span("conventional-base"):
         slice_set: Set[int] = conventional_base(analysis, resolved)
@@ -155,6 +186,8 @@ def agrawal_slice(
     # least one jump — matching the paper's usage ("a single traversal
     # ... was sufficient", "node 4 is added ... during the second
     # preorder traversal").  The final, confirming pass is not counted.
+    closure = analysis.pdg.backward_closure
+    verdicts: Optional[List[Verdict]] = [] if explain is not None else None
     traversals = 0
     rounds = 0
     while True:
@@ -167,52 +200,16 @@ def agrawal_slice(
         # deadline / traversal cap (if any) is enforced here, so a hard
         # program raises BudgetExceededError instead of running long.
         budget_round("fig7-traversal")
-        added_jump = False
-        jumps_examined = 0
-        jumps_added = 0
         with trace_span("fig7-traversal", round=rounds) as round_span:
-            for node_id in schedule:
-                if node_id in slice_set:
-                    continue
-                node = cfg.nodes[node_id]
-                budget_tick("fig7-jump")
-                jumps_examined += 1
-                npd = nearest_in_slice(
-                    analysis.pdt, node_id, slice_set, cfg.exit_id
-                )
-                nls = nearest_in_slice(
-                    analysis.lst, node_id, slice_set, cfg.exit_id
-                )
-                if npd != nls:
-                    closure = analysis.pdg.backward_closure([node_id])
-                    if explain is not None:
-                        brought = sorted(
-                            n
-                            for n in closure - slice_set - {node_id}
-                            if cfg.nodes[n].stmt is not None
-                        )
-                        extra = f"; closure adds {brought}" if brought else ""
-                        explain.append(
-                            f"traversal {traversals + 1}: jump {node_id} "
-                            f"({node.text!r}, line {node.line}) — nearest "
-                            f"postdominator in slice {npd} != nearest lexical "
-                            f"successor in slice {nls}: INCLUDE{extra}"
-                        )
-                    slice_set.add(node_id)
-                    slice_set |= closure
-                    added_jump = True
-                    jumps_added += 1
-                elif explain is not None:
-                    explain.append(
-                        f"traversal {traversals + 1}: jump {node_id} "
-                        f"({node.text!r}, line {node.line}) — both nearest "
-                        f"postdominator and lexical successor in slice are "
-                        f"{npd}: skip"
-                    )
-            round_span.set(
-                jumps_examined=jumps_examined, jumps_added=jumps_added
+            added, examined = admit_jumps(
+                analysis, schedule, slice_set, closure, "fig7-jump",
+                verdicts=verdicts,
             )
-        if not added_jump:
+            round_span.set(jumps_examined=examined, jumps_added=len(added))
+        if verdicts:
+            _narrate(analysis, verdicts, traversals + 1, explain)
+            verdicts.clear()
+        if not added:
             break
         traversals += 1
 

@@ -6,6 +6,9 @@
 * :func:`nearest_in_slice` — the "nearest postdominator / lexical
   successor *in the slice*" query, with EXIT always treated as a member
   so the query is total (DESIGN.md §4).
+* :func:`jump_verdict` and :func:`admit_jumps` — the paper's one jump
+  rule (§3) and the live-addition walk every jump pass runs it in
+  (DESIGN.md §11, "One jump rule").
 * :func:`reassociate_labels` — the final step of Figs. 7/12/13: "for each
   goto statement, Goto L, in Slice, if the statement labeled L is not in
   Slice then associate the label L with its nearest postdominator in
@@ -15,12 +18,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, FrozenSet, List, Set
+from typing import (
+    AbstractSet, Callable, Dict, FrozenSet, Iterable, List, Optional, Set,
+    Tuple,
+)
 
 from repro.analysis.tree import Tree
 from repro.cfg.graph import NodeKind
 from repro.pdg.builder import ProgramAnalysis
-from repro.service.resilience import budget_tick
+from repro.service.resilience import budget_tick, current_budget
 from repro.slicing.criterion import ResolvedCriterion
 
 
@@ -42,6 +48,72 @@ def nearest_in_slice(
         f"node {node_id} has no ancestor reaching EXIT ({exit_id}); "
         "malformed tree"
     )
+
+
+def jump_verdict(
+    analysis: ProgramAnalysis, jump: int, slice_nodes: AbstractSet[int]
+) -> Tuple[int, int]:
+    """The §3 test for *jump* against *slice_nodes*: ``(npd, nls)``, its
+    nearest postdominator and its nearest lexical successor in the
+    slice.  The jump matters to the slice exactly when they differ."""
+    exit_id = analysis.cfg.exit_id
+    return (
+        nearest_in_slice(analysis.pdt, jump, slice_nodes, exit_id),
+        nearest_in_slice(analysis.lst, jump, slice_nodes, exit_id),
+    )
+
+
+#: One examined jump of an :func:`admit_jumps` walk, for narration:
+#: ``(jump, npd, nls, brought)``; ``brought`` is None for a skipped jump
+#: and, for an admitted one, the nodes its closure added to the slice.
+Verdict = Tuple[int, int, int, Optional[FrozenSet[int]]]
+
+
+def admit_jumps(
+    analysis: ProgramAnalysis,
+    schedule: Iterable[int],
+    live: Set[int],
+    closure: Callable[[Iterable[int]], FrozenSet[int]],
+    phase: str,
+    eligible: Optional[Callable[[int, Set[int]], bool]] = None,
+    verdicts: Optional[List[Verdict]] = None,
+) -> Tuple[Dict[int, FrozenSet[int]], int]:
+    """Walk *schedule* once, admitting every jump the §3 test asks for.
+
+    Members of the *live* slice are skipped, as are jumps *eligible*
+    rejects (Fig. 12's "directly control dependent on a predicate in
+    the slice").  Each other jump ticks the deadline under *phase* and
+    is tested against the live set; when npd ≠ nls the jump and its
+    dependence *closure* join *live* at once, so later jumps in the
+    same walk see them (the paper's Fig. 3 walkthrough depends on it).
+
+    Returns ``(added, examined)``: each admitted jump mapped to its
+    closure, in admission order, and how many jumps were tested.
+    Rounds are the caller's: only Fig. 7 and the SDG count them.
+    """
+    budget = current_budget()
+    added: Dict[int, FrozenSet[int]] = {}
+    examined = 0
+    for jump in schedule:
+        if jump in live:
+            continue
+        if eligible is not None and not eligible(jump, live):
+            continue
+        if budget is not None:
+            budget.tick(phase)
+        examined += 1
+        npd, nls = jump_verdict(analysis, jump, live)
+        if npd == nls:
+            if verdicts is not None:
+                verdicts.append((jump, npd, nls, None))
+            continue
+        brought = closure([jump])
+        if verdicts is not None:
+            verdicts.append((jump, npd, nls, brought - live))
+        live.add(jump)
+        live |= brought
+        added[jump] = brought
+    return added, examined
 
 
 def reassociate_labels(

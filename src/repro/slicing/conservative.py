@@ -15,17 +15,15 @@ from __future__ import annotations
 
 from typing import Set
 
-from repro.lang.errors import SliceError
 from repro.obs.tracer import trace_span
 from repro.pdg.builder import ProgramAnalysis
-from repro.analysis.lexical import is_structured_program
 from repro.service.resilience import budget_tick
 from repro.slicing.common import SliceResult, conventional_base, reassociate_labels
 from repro.slicing.criterion import SlicingCriterion, resolve_criterion
 from repro.slicing.structured import (
     _controlled_by_slice_predicate,
-    exit_diverting_predicates,
-    jump_repair_pass,
+    check_preconditions,
+    repair_slice,
 )
 
 
@@ -40,29 +38,7 @@ def conservative_slice(
     guaranteed correct on structured programs; ``force=True`` bypasses
     the check.
     """
-    structured = is_structured_program(analysis.cfg, analysis.lst)
-    if not structured and not force:
-        raise SliceError(
-            "Fig. 13 is only correct for structured programs; use "
-            "agrawal_slice for unstructured programs or pass force=True"
-        )
-    dead = analysis.cfg.unreachable_statements()
-    if dead and not force:
-        raise SliceError(
-            "Fig. 13 assumes no unreachable code (a jump guarding dead "
-            f"code would be missed; first dead statement at line "
-            f"{dead[0].line}); use agrawal_slice or pass force=True"
-        )
-    diverting = exit_diverting_predicates(analysis)
-    if diverting and not force:
-        line = analysis.cfg.nodes[diverting[0]].line
-        raise SliceError(
-            "Fig. 13 shares Fig. 12's property-2 precondition, violated "
-            f"by the all-branches-leave predicate at line {line} "
-            "(erratum E1, see EXPERIMENTS.md); use agrawal_slice or "
-            "pass force=True"
-        )
-
+    structured = check_preconditions(analysis, "Fig. 13", force)
     resolved = resolve_criterion(analysis, criterion)
     cfg = analysis.cfg
     with trace_span("conventional-base"):
@@ -92,20 +68,8 @@ def conservative_slice(
     # Fig. 13 leans on the same property 2 as Fig. 12, so it inherits
     # the same defensive repair (erratum E4 — see jump_repair_pass);
     # force=True means "exactly as published" and skips it.
-    if force:
-        repaired = set()
-    else:
-        with trace_span("jump-repair") as span:
-            repaired = jump_repair_pass(analysis, slice_set)
-            span.set(jumps_added=len(repaired))
-
+    _, notes = repair_slice(analysis, slice_set, structured, force)
     nodes = frozenset(slice_set)
-    notes = [] if structured else ["ran on an unstructured program (force)"]
-    if repaired:
-        notes.append(
-            "erratum E4 repair added jump node(s) "
-            f"{sorted(repaired)} missed by the property-2 predicate test"
-        )
     return SliceResult(
         algorithm="conservative",
         resolved=resolved,

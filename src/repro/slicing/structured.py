@@ -18,7 +18,8 @@ to chase dependence closures.
 
 from __future__ import annotations
 
-from typing import Set
+from functools import partial
+from typing import List, Set, Tuple
 
 from repro.cfg.graph import NodeKind
 from repro.lang.errors import SliceError
@@ -27,8 +28,8 @@ from repro.pdg.builder import ProgramAnalysis
 from repro.analysis.lexical import is_structured_program
 from repro.slicing.common import (
     SliceResult,
+    admit_jumps,
     conventional_base,
-    nearest_in_slice,
     reassociate_labels,
 )
 from repro.slicing.criterion import SlicingCriterion, resolve_criterion
@@ -133,26 +134,73 @@ def jump_repair_pass(analysis: ProgramAnalysis, slice_set: Set[int]) -> Set[int]
     schedule removes the artefact; the fixed point reached still
     satisfies the invariant above, which is all E4 soundness needs.
     """
-    cfg = analysis.cfg
     added: Set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for node_id in analysis.jump_preorder(analysis.pdt):
-            if node_id in slice_set:
-                continue
-            npd = nearest_in_slice(
-                analysis.pdt, node_id, slice_set, cfg.exit_id
-            )
-            nls = nearest_in_slice(
-                analysis.lst, node_id, slice_set, cfg.exit_id
-            )
-            if npd != nls:
-                added.add(node_id)
-                slice_set.add(node_id)
-                slice_set |= analysis.pdg.backward_closure([node_id])
-                changed = True
-    return added
+    while True:
+        round_added, _ = admit_jumps(
+            analysis, analysis.jump_preorder(analysis.pdt), slice_set,
+            analysis.pdg.backward_closure, "jump-repair",
+        )
+        if not round_added:
+            return added
+        added.update(round_added)
+
+
+def check_preconditions(
+    analysis: ProgramAnalysis, figure: str, force: bool
+) -> bool:
+    """Refuse a program outside *figure*'s (Fig. 12's or Fig. 13's)
+    guarantees: an unstructured program, dead code, or an
+    exit-diverting predicate (erratum E1).  ``force=True`` runs the
+    figure regardless.  Returns whether the program is structured."""
+    structured = is_structured_program(analysis.cfg, analysis.lst)
+    if force:
+        return structured
+    if not structured:
+        raise SliceError(
+            f"{figure} requires a structured program (every jump's "
+            "target lexically succeeds it); use agrawal_slice for "
+            "unstructured programs or pass force=True to run regardless"
+        )
+    dead = analysis.cfg.unreachable_statements()
+    if dead:
+        raise SliceError(
+            f"{figure} assumes no unreachable code (its property 2 fails "
+            f"on dead code; first dead statement at line {dead[0].line}); "
+            "use agrawal_slice or pass force=True"
+        )
+    diverting = exit_diverting_predicates(analysis)
+    if diverting:
+        line = analysis.cfg.nodes[diverting[0]].line
+        raise SliceError(
+            f"{figure}'s property 2 fails when a predicate's every branch "
+            f"leaves the program (line {line}): jumps under it may be "
+            "needed while it is outside the conventional slice (erratum "
+            "E1, see EXPERIMENTS.md); use agrawal_slice or pass "
+            "force=True"
+        )
+    return True
+
+
+def repair_slice(
+    analysis: ProgramAnalysis, slice_set: Set[int], structured: bool,
+    force: bool,
+) -> Tuple[Set[int], List[str]]:
+    """Finish a Fig. 12/13 slice in place: run the erratum-E4 repair
+    pass unless *force* asks for the figure exactly as published.
+    Returns the jumps the repair added and the slice's notes."""
+    if force:
+        repaired: Set[int] = set()
+    else:
+        with trace_span("jump-repair") as span:
+            repaired = jump_repair_pass(analysis, slice_set)
+            span.set(jumps_added=len(repaired))
+    notes = [] if structured else ["ran on an unstructured program (force)"]
+    if repaired:
+        notes.append(
+            "erratum E4 repair added jump node(s) "
+            f"{sorted(repaired)} missed by the property-2 predicate test"
+        )
+    return repaired, notes
 
 
 def structured_slice(
@@ -169,75 +217,23 @@ def structured_slice(
     may be an under-approximation (useful for the tests that
     demonstrate *why* the precondition and the repair exist).
     """
-    structured = is_structured_program(analysis.cfg, analysis.lst)
-    if not structured and not force:
-        raise SliceError(
-            "Fig. 12 requires a structured program (every jump's target "
-            "lexically succeeds it); use agrawal_slice for unstructured "
-            "programs or pass force=True to run regardless"
-        )
-    dead = analysis.cfg.unreachable_statements()
-    if dead and not force:
-        raise SliceError(
-            "Fig. 12 assumes no unreachable code (its property 2 fails "
-            f"on dead code; first dead statement at line {dead[0].line}); "
-            "use agrawal_slice or pass force=True"
-        )
-    diverting = exit_diverting_predicates(analysis)
-    if diverting and not force:
-        line = analysis.cfg.nodes[diverting[0]].line
-        raise SliceError(
-            "Fig. 12's property 2 fails when a predicate's every branch "
-            f"leaves the program (line {line}): jumps under it may be "
-            "needed while it is outside the conventional slice (erratum "
-            "E1, see EXPERIMENTS.md); use agrawal_slice or pass "
-            "force=True"
-        )
-
+    structured = check_preconditions(analysis, "Fig. 12", force)
     resolved = resolve_criterion(analysis, criterion)
-    cfg = analysis.cfg
     with trace_span("conventional-base"):
         slice_set: Set[int] = conventional_base(analysis, resolved)
 
+    # The closure is defensive — a no-op when the paper's property 2
+    # holds (see the matching comment in conservative.py).
     with trace_span("fig12-traversal") as span:
-        jumps_examined = 0
-        jumps_added = 0
-        for node_id in analysis.jump_preorder(analysis.pdt):
-            if node_id in slice_set:
-                continue
-            if not _controlled_by_slice_predicate(
-                analysis, node_id, slice_set
-            ):
-                continue
-            jumps_examined += 1
-            npd = nearest_in_slice(
-                analysis.pdt, node_id, slice_set, cfg.exit_id
-            )
-            nls = nearest_in_slice(
-                analysis.lst, node_id, slice_set, cfg.exit_id
-            )
-            if npd != nls:
-                slice_set.add(node_id)
-                # Defensive closure — a no-op when the paper's property 2
-                # holds (see the matching comment in conservative.py).
-                slice_set |= analysis.pdg.backward_closure([node_id])
-                jumps_added += 1
-        span.set(jumps_examined=jumps_examined, jumps_added=jumps_added)
-
-    if force:
-        repaired = set()
-    else:
-        with trace_span("jump-repair") as span:
-            repaired = jump_repair_pass(analysis, slice_set)
-            span.set(jumps_added=len(repaired))
-
-    nodes = frozenset(slice_set)
-    notes = [] if structured else ["ran on an unstructured program (force)"]
-    if repaired:
-        notes.append(
-            "erratum E4 repair added jump node(s) "
-            f"{sorted(repaired)} missed by the property-2 predicate test"
+        added, examined = admit_jumps(
+            analysis, analysis.jump_preorder(analysis.pdt), slice_set,
+            analysis.pdg.backward_closure, "fig12-jump",
+            eligible=partial(_controlled_by_slice_predicate, analysis),
         )
+        span.set(jumps_examined=examined, jumps_added=len(added))
+
+    repaired, notes = repair_slice(analysis, slice_set, structured, force)
+    nodes = frozenset(slice_set)
     return SliceResult(
         algorithm="structured",
         resolved=resolved,

@@ -8,8 +8,8 @@ from repro.lang.errors import ValidationError
 from repro.lang.parser import parse_program
 
 
-def cfg_of(source, **kwargs):
-    return build_cfg(parse_program(source), **kwargs)
+def cfg_of(source):
+    return build_cfg(parse_program(source))
 
 
 def kinds(cfg):
@@ -70,12 +70,6 @@ class TestCondGotoFusion:
     def test_no_fusion_with_block_body(self):
         cfg = cfg_of("if (c) { goto L; } L: x = 1;")
         assert cfg.statement_nodes()[0].kind is NodeKind.PREDICATE
-
-    def test_fusion_disabled(self):
-        cfg = cfg_of("if (c) goto L; L: x = 1;", fuse_cond_goto=False)
-        first = cfg.statement_nodes()[0]
-        assert first.kind is NodeKind.PREDICATE
-        assert cfg.statement_nodes()[1].kind is NodeKind.GOTO
 
     def test_both_statements_map_to_fused_node(self):
         program = parse_program("if (c) goto L; L: x = 1;")
@@ -218,12 +212,6 @@ class TestDefsUses:
         node = cfg.statement_nodes()[0]
         assert node.defs == {"x", INPUT_CURSOR}
         assert node.uses == {INPUT_CURSOR}
-
-    def test_read_without_chaining(self):
-        cfg = cfg_of("read(x);", chain_io=False)
-        node = cfg.statement_nodes()[0]
-        assert node.defs == {"x"}
-        assert node.uses == set()
 
     def test_eof_uses_cursor(self):
         cfg = cfg_of("while (!eof()) read(x);")

@@ -15,8 +15,8 @@ from repro.cfg.builder import build_cfg
 from repro.lang.parser import parse_program
 
 
-def cfg_of(source, **kwargs):
-    return build_cfg(parse_program(source), **kwargs)
+def cfg_of(source):
+    return build_cfg(parse_program(source))
 
 
 def node_by_text(cfg, text):
@@ -95,7 +95,7 @@ class TestReachingDefinitions:
         assert loop_def in result.in_[4]
 
     def test_read_defines(self):
-        cfg = cfg_of("read(x);\nwrite(x);", chain_io=False)
+        cfg = cfg_of("read(x);\nwrite(x);")
         result = compute_reaching_definitions(cfg)
         assert Definition(1, "x") in result.in_[2]
 

@@ -12,8 +12,8 @@ from repro.cfg.builder import build_cfg
 from repro.lang.parser import parse_program
 
 
-def cfg_of(source, **kwargs):
-    return build_cfg(parse_program(source), **kwargs)
+def cfg_of(source):
+    return build_cfg(parse_program(source))
 
 
 class TestDataDependence:
@@ -37,7 +37,7 @@ class TestDataDependence:
         assert ddg.defs_reaching(12) == [2, 7]
 
     def test_predicate_uses_create_dependence(self):
-        cfg = cfg_of("read(x);\nif (x > 0)\ny = 1;", chain_io=False)
+        cfg = cfg_of("read(x);\nif (x > 0)\ny = 1;")
         ddg = compute_data_dependence(cfg)
         assert (1, 2, "x") in set(ddg.edges())
 

@@ -1,7 +1,5 @@
 """Unit tests for PDG construction and the ProgramAnalysis bundle."""
 
-import pytest
-
 from repro.corpus import PAPER_PROGRAMS
 from repro.pdg.builder import (
     analyze_program,
@@ -112,17 +110,6 @@ class TestProgramAnalysis:
     def test_reaching_defs_of_unknown_var_empty(self):
         analysis = analyze_program("x = 1;\nwrite(x);")
         assert analysis.reaching_defs_of(2, "zzz") == []
-
-    def test_dominator_algorithm_selectable(self):
-        first = analyze_program("x = 1;", dominator_algorithm="iterative")
-        second = analyze_program(
-            "x = 1;", dominator_algorithm="lengauer-tarjan"
-        )
-        assert first.pdt.as_parent_map() == second.pdt.as_parent_map()
-
-    def test_invalid_dominator_algorithm(self):
-        with pytest.raises(ValueError):
-            analyze_program("x = 1;", dominator_algorithm="nope")
 
 
 class TestReachingDefsIndex:
