@@ -206,6 +206,17 @@ FAMILIES: Tuple[Family, ...] = (
     _counter("slang_slice_cache_evictions_total",
              "Slice memo LRU evictions.", "slice_cache", "evictions"),
     _stats_only("slice_cache", "hit_rate", RATE),
+    _counter("slang_start_set_cache_hits_total",
+             "Start-set memo lookups that hit: a jump fixpoint reused "
+             "from a criterion with the same conventional slice.",
+             "start_set_cache", "hits"),
+    _counter("slang_start_set_cache_misses_total",
+             "Start-set memo lookups that missed.",
+             "start_set_cache", "misses"),
+    _counter("slang_start_set_cache_evictions_total",
+             "Start-set memo LRU evictions.",
+             "start_set_cache", "evictions"),
+    _stats_only("start_set_cache", "hit_rate", RATE),
     _stats_only("incremental", "capacity", SUM),
     _counter("slang_incremental_programs_total",
              "Programs fingerprinted by the incremental path.",

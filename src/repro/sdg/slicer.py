@@ -183,15 +183,13 @@ class SDGSliceResult:
         ]
 
     def statement_nodes(self, unit: str) -> List[int]:
-        from repro.cfg.graph import NodeKind
-
+        """*unit*'s slice members with its ENTRY and EXIT stripped (by
+        id: a CFG has one node of each)."""
         cfg = self.sdg.procs[unit].analysis.cfg
-        return [
-            node_id
-            for node_id in sorted(self.per_proc.get(unit, ()))
-            if cfg.nodes[node_id].kind
-            not in (NodeKind.ENTRY, NodeKind.EXIT)
-        ]
+        return sorted(
+            self.per_proc.get(unit, frozenset())
+            - {cfg.entry_id, cfg.exit_id}
+        )
 
     def global_nodes(self) -> FrozenSet[int]:
         out: Set[int] = set()

@@ -27,7 +27,8 @@ graphs under a per-analysis lock, and the PDG's closure index by the
 first slice that reads it (interprocedural slicing never does), with a
 single assignment so a racing reader sees nothing or the whole index.
 
-Each entry holds an analysis and that analysis's slice memo, and no
+Each entry holds an analysis and that analysis's two memos — slice
+results by criterion, and jump-fixpoint bodies by start set — and no
 part of an entry points back at it, so an evicted entry is freed by
 reference counting alone.  That is what lets :meth:`AnalysisCache.put`
 move the whole heap into the collector's permanent generation
@@ -68,13 +69,15 @@ def analysis_key(source: str) -> str:
 
 
 class _Entry:
-    """One cached analysis and its slice memo (created on first use)."""
+    """One cached analysis, its slice memo and its start-set memo (each
+    created on first use)."""
 
-    __slots__ = ("analysis", "memo")
+    __slots__ = ("analysis", "memo", "bodies")
 
     def __init__(self, analysis: ProgramAnalysis) -> None:
         self.analysis = analysis
         self.memo: Optional["SliceMemo"] = None
+        self.bodies: Optional["SliceMemo"] = None
 
 
 class AnalysisCache:
@@ -163,13 +166,29 @@ class AnalysisCache:
         """The slice memo of *analysis*'s entry, made by *make* on first
         use.  An analysis that is not (or no longer) the cached one for
         its key gets a fresh memo that nothing keeps."""
+        return self._entry_memo(analysis, "memo", make)
+
+    def start_set_memo(
+        self, analysis: ProgramAnalysis, make: Callable[[], "SliceMemo"]
+    ) -> "SliceMemo":
+        """The start-set memo of *analysis*'s entry: jump-fixpoint
+        bodies keyed ``(algorithm, conventional base)``, under the same
+        rules as :meth:`slice_memo` (DESIGN.md §11)."""
+        return self._entry_memo(analysis, "bodies", make)
+
+    def _entry_memo(
+        self, analysis: ProgramAnalysis, slot: str,
+        make: Callable[[], "SliceMemo"],
+    ) -> "SliceMemo":
         with self._lock:
             entry = self._entries.get(analysis._content_key)
             if entry is None or entry.analysis is not analysis:
                 return make()
-            if entry.memo is None:
-                entry.memo = make()
-            return entry.memo
+            memo = getattr(entry, slot)
+            if memo is None:
+                memo = make()
+                setattr(entry, slot, memo)
+            return memo
 
     def get_or_build(
         self, source: str, max_nodes: Optional[int] = None
@@ -237,7 +256,9 @@ class AnalysisCache:
 
 class SliceCacheStats:
     """Engine-wide counters aggregated over every per-analysis
-    :class:`SliceMemo` (one engine, many programs, one hit rate)."""
+    :class:`SliceMemo` of one tier (one engine, many programs, one hit
+    rate).  The engine keeps one for the slice memo and one for the
+    start-set memo."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -274,9 +295,9 @@ class SliceCacheStats:
 class SliceMemo:
     """A bounded LRU of slice results for **one** ``ProgramAnalysis``.
 
-    Keyed by ``(algorithm, line, var)``: the analysis itself pins the
-    program source (it is content-addressed by :func:`analysis_key`),
-    and criterion resolution is deterministic, so those three values
+    Keyed by ``(algorithm, line, var, proc)``: the analysis itself pins
+    the program source (it is content-addressed by :func:`analysis_key`),
+    and criterion resolution is deterministic, so those four values
     determine the slice completely.  Soundness rests
     on ``ProgramAnalysis`` being immutable after construction (DESIGN.md
     §7) — a memoized :class:`~repro.slicing.common.SliceResult` is the
@@ -286,6 +307,11 @@ class SliceMemo:
     results are never mutated by callers, while payload dicts could be.
     Degraded (budget-downgraded) results must never be stored — the
     engine only calls :meth:`put` on the successful exact path.
+
+    The start-set memo is the same class one level down: keyed
+    ``(algorithm, conventional base)``, it stores the criterion-free
+    :class:`~repro.slicing.common.SliceBody` of a
+    :class:`~repro.slicing.common.StartSetSlicer`, under the same rules.
 
     Lifetime: the memo hangs off the analysis's :class:`AnalysisCache`
     entry (:meth:`AnalysisCache.slice_memo`), so evicting the analysis
@@ -303,13 +329,13 @@ class SliceMemo:
         self.capacity = capacity
         self._stats = stats
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Tuple[str, int, str], Any]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple[Any, ...], Any]" = OrderedDict()
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
-    def get(self, key: Tuple[str, int, str]) -> Optional[Any]:
+    def get(self, key: Tuple[Any, ...]) -> Optional[Any]:
         with self._lock:
             result = self._entries.get(key)
             if result is not None:
@@ -318,7 +344,7 @@ class SliceMemo:
             self._stats.record(hit=result is not None)
         return result
 
-    def put(self, key: Tuple[str, int, str], result: Any) -> None:
+    def put(self, key: Tuple[Any, ...], result: Any) -> None:
         if self.capacity <= 0:
             return
         evicted = 0

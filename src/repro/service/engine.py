@@ -72,6 +72,7 @@ from repro.service.resilience import (
     use_budget,
 )
 from repro.service.stats import MAX_EXEMPLARS, ServiceStats
+from repro.slicing.common import SliceResult, StartSetSlicer
 from repro.slicing.criterion import SlicingCriterion
 from repro.slicing.registry import (
     CORRECT_STRUCTURED,
@@ -275,6 +276,7 @@ class SlicingEngine:
         self._exemplars: List[Dict[str, Any]] = []
         self._exemplar_lock = threading.Lock()
         self.slice_cache_stats = SliceCacheStats()
+        self.start_set_stats = SliceCacheStats()
         collector.install()
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="slang-worker"
@@ -319,6 +321,9 @@ class SlicingEngine:
     def _new_memo(self) -> SliceMemo:
         return SliceMemo(self.SLICE_MEMO_CAPACITY, self.slice_cache_stats)
 
+    def _new_start_set_memo(self) -> SliceMemo:
+        return SliceMemo(self.SLICE_MEMO_CAPACITY, self.start_set_stats)
+
     def _memo_for(self, analysis: ProgramAnalysis) -> SliceMemo:
         """The per-analysis slice memo, kept on the analysis's cache
         entry (see :class:`SliceMemo` for the lifetime/soundness
@@ -334,7 +339,7 @@ class SlicingEngine:
         algorithm: str,
         proc: Optional[str] = None,
     ):
-        """One slice through the per-analysis memo.
+        """One slice through the per-analysis memos.
 
         Only successful exact slices are stored: an algorithm that
         raises (refusal, budget exhaustion) caches nothing, and the
@@ -348,13 +353,41 @@ class SlicingEngine:
             result = memo.get(key)
             span.set(hit=result is not None)
         if result is None:
-            result = get_algorithm(algorithm)(
-                analysis, SlicingCriterion(line=line, var=var, proc=proc)
+            result = self._slice_exact(
+                analysis, algorithm,
+                SlicingCriterion(line=line, var=var, proc=proc),
             )
             memo.put(key, result)
             self._record_sdg_stats(result)
             self._store_result(analysis, line, var, algorithm, proc, result)
         return result
+
+    def _slice_exact(
+        self,
+        analysis: ProgramAnalysis,
+        algorithm: str,
+        criterion: SlicingCriterion,
+    ) -> SliceResult:
+        """Run one registry algorithm.  A start-set slicer runs its
+        prepare step, then takes its finish step's body from the
+        per-analysis start-set memo, keyed by the conventional base:
+        criteria with one base share one jump fixpoint (DESIGN.md §11).
+        """
+        slicer = get_algorithm(algorithm)
+        if not isinstance(slicer, StartSetSlicer):
+            return slicer(analysis, criterion)
+        resolved, base = slicer.prepare(analysis, criterion)
+        bodies = self.cache.start_set_memo(
+            analysis, self._new_start_set_memo
+        )
+        key = (algorithm, base)
+        body = bodies.get(key)
+        if body is None:
+            body = slicer.finish(analysis, base)
+            bodies.put(key, body)
+        else:
+            trace_event("start-set-hit", algorithm=algorithm)
+        return SliceResult.of_body(slicer.algorithm, resolved, analysis, body)
 
     def _store_result(
         self,
@@ -820,6 +853,7 @@ class SlicingEngine:
         payload = self.stats.snapshot()
         payload["cache"] = self.cache.stats()
         payload["slice_cache"] = self.slice_cache_stats.stats()
+        payload["start_set_cache"] = self.start_set_stats.stats()
         payload["incremental"] = self.cache.unit_cache.snapshot()
         payload["admission"] = self.gate.snapshot()
         payload["gc"] = collector.snapshot()

@@ -20,26 +20,29 @@ Additions take effect immediately *within* a traversal — the paper's
 Fig. 3 walkthrough depends on it (node 13's inclusion is what keeps node
 11 out).  One traversal is :func:`repro.slicing.common.admit_jumps`,
 the walk every jump pass shares; this module adds the rounds, the
-narration and the redundant-jump prune.
+narration and the redundant-jump prune.  Everything after the
+conventional slice is :func:`fig7_finish`, which reads that slice and
+the two trees only (DESIGN.md §11).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import FrozenSet, List, Optional, Set
 
 from repro.lang.errors import SliceError
 from repro.obs.tracer import trace_span
 from repro.pdg.builder import ProgramAnalysis
 from repro.service.resilience import budget_round, budget_tick
 from repro.slicing.common import (
+    SliceBody,
     SliceResult,
     Verdict,
     admit_jumps,
-    conventional_base,
     jump_verdict,
     reassociate_labels,
+    slice_start,
 )
-from repro.slicing.criterion import SlicingCriterion, resolve_criterion
+from repro.slicing.criterion import SlicingCriterion
 
 #: Safety bound on fixed-point traversals; the loop provably terminates
 #: (each round adds at least one of finitely many jumps) so hitting this
@@ -122,40 +125,17 @@ def _narrate(
         )
 
 
-def agrawal_slice(
+def fig7_finish(
     analysis: ProgramAnalysis,
-    criterion: SlicingCriterion,
+    base: FrozenSet[int],
     drive_tree: str = "postdominator",
     prune_redundant: bool = False,
     explain: Optional[List[str]] = None,
-) -> SliceResult:
-    """Slice with the paper's Fig. 7 algorithm.
-
-    Parameters
-    ----------
-    drive_tree:
-        ``"postdominator"`` (paper default) or ``"lexical"`` — which
-        tree's pre-order drives the per-traversal examination order.
-    prune_redundant:
-        The algorithm examines jumps in pre-order, but the paper leaves
-        *sibling* order unspecified — and this reproduction found that
-        the choice can matter (erratum E2, EXPERIMENTS.md): a jump
-        examined before the slice has grown may pass the npd ≠ nls test
-        and be added, even though at the fixed point the test no longer
-        holds; the algorithm never removes jumps.  The result is a
-        superset of the Ball–Horwitz slice, differing only by such
-        redundant no-op jumps, and remains semantically correct.  With
-        ``prune_redundant=True`` a post-pass repeatedly removes added
-        jumps whose nearest postdominator and lexical successor in the
-        remaining slice coincide — sound by the paper's own omission
-        criterion — which restores exact Ball–Horwitz equality on every
-        program we have tested.
-    explain:
-        Pass a list to collect a human-readable narration of the run —
-        one line per jump examination with its nearest-postdominator /
-        nearest-lexical-successor verdict, in the style of the paper's
-        §3 walkthroughs.
-    """
+) -> SliceBody:
+    """Fig. 7 from its conventional slice *base*: the rounds to a fixed
+    point, the optional prune and the label re-association (parameters
+    as for :func:`agrawal_slice`).  Reads nothing of the criterion, so
+    equal bases give equal bodies."""
     if drive_tree == "postdominator":
         order_tree = analysis.pdt
     elif drive_tree == "lexical":
@@ -166,21 +146,11 @@ def agrawal_slice(
             "'postdominator' or 'lexical'"
         )
 
-    resolved = resolve_criterion(analysis, criterion)
     cfg = analysis.cfg
     # Only jumps are examined, so a traversal walks the tree's jumps in
     # pre-order; the walk's membership test reads the live slice.
     schedule = analysis.jump_preorder(order_tree)
-    with trace_span("conventional-base"):
-        slice_set: Set[int] = conventional_base(analysis, resolved)
-    base = frozenset(slice_set)
-    if explain is not None:
-        members = sorted(
-            n for n in base if cfg.nodes[n].stmt is not None
-        )
-        explain.append(
-            f"conventional slice w.r.t. {criterion}: {members}"
-        )
+    slice_set: Set[int] = set(base)
 
     # ``traversals`` counts *productive* traversals — ones that added at
     # least one jump — matching the paper's usage ("a single traversal
@@ -222,7 +192,9 @@ def agrawal_slice(
             removed = sorted(before - slice_set)
             explain.append(f"prune: removed redundant nodes {removed}")
 
-    nodes = frozenset(slice_set)
+    # The slice only grows from its base (the prune keeps the base), so
+    # an unchanged size means the base itself, which is shared.
+    nodes = base if len(slice_set) == len(base) else frozenset(slice_set)
     label_map = reassociate_labels(analysis, nodes)
     if explain is not None:
         for label, node_id in sorted(label_map.items()):
@@ -237,11 +209,57 @@ def agrawal_slice(
             f"final slice after {traversals} productive traversal(s): "
             f"{final}"
         )
-    return SliceResult(
-        algorithm="agrawal" if not prune_redundant else "agrawal-pruned",
-        resolved=resolved,
-        nodes=nodes,
-        analysis=analysis,
-        traversals=traversals,
-        label_map=label_map,
+    return SliceBody(nodes, traversals, label_map)
+
+
+def agrawal_slice(
+    analysis: ProgramAnalysis,
+    criterion: SlicingCriterion,
+    drive_tree: str = "postdominator",
+    prune_redundant: bool = False,
+    explain: Optional[List[str]] = None,
+) -> SliceResult:
+    """Slice with the paper's Fig. 7 algorithm: :func:`slice_start`,
+    then :func:`fig7_finish`.
+
+    Parameters
+    ----------
+    drive_tree:
+        ``"postdominator"`` (paper default) or ``"lexical"`` — which
+        tree's pre-order drives the per-traversal examination order.
+    prune_redundant:
+        The algorithm examines jumps in pre-order, but the paper leaves
+        *sibling* order unspecified — and this reproduction found that
+        the choice can matter (erratum E2, EXPERIMENTS.md): a jump
+        examined before the slice has grown may pass the npd ≠ nls test
+        and be added, even though at the fixed point the test no longer
+        holds; the algorithm never removes jumps.  The result is a
+        superset of the Ball–Horwitz slice, differing only by such
+        redundant no-op jumps, and remains semantically correct.  With
+        ``prune_redundant=True`` a post-pass repeatedly removes added
+        jumps whose nearest postdominator and lexical successor in the
+        remaining slice coincide — sound by the paper's own omission
+        criterion — which restores exact Ball–Horwitz equality on every
+        program we have tested.
+    explain:
+        Pass a list to collect a human-readable narration of the run —
+        one line per jump examination with its nearest-postdominator /
+        nearest-lexical-successor verdict, in the style of the paper's
+        §3 walkthroughs.
+    """
+    resolved, base = slice_start(analysis, criterion)
+    if explain is not None:
+        cfg = analysis.cfg
+        members = sorted(
+            n for n in base if cfg.nodes[n].stmt is not None
+        )
+        explain.append(
+            f"conventional slice w.r.t. {criterion}: {members}"
+        )
+    body = fig7_finish(
+        analysis, base, drive_tree, prune_redundant, explain
+    )
+    return SliceResult.of_body(
+        "agrawal" if not prune_redundant else "agrawal-pruned",
+        resolved, analysis, body,
     )

@@ -13,21 +13,29 @@
   goto statement, Goto L, in Slice, if the statement labeled L is not in
   Slice then associate the label L with its nearest postdominator in
   Slice."
+* :func:`slice_start`, :class:`SliceBody` and :class:`StartSetSlicer` —
+  the prepare/finish split of the slicers whose answer, past the
+  conventional slice, depends on nothing else (DESIGN.md §11, "One jump
+  fixpoint per distinct start set").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    AbstractSet, Callable, Dict, FrozenSet, Iterable, List, Optional, Set,
-    Tuple,
+    AbstractSet, Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
+    Optional, Set, Tuple,
 )
 
 from repro.analysis.tree import Tree
-from repro.cfg.graph import NodeKind
+from repro.obs.tracer import trace_span
 from repro.pdg.builder import ProgramAnalysis
 from repro.service.resilience import budget_tick, current_budget
-from repro.slicing.criterion import ResolvedCriterion
+from repro.slicing.criterion import (
+    ResolvedCriterion,
+    SlicingCriterion,
+    resolve_criterion,
+)
 
 
 def nearest_in_slice(
@@ -180,15 +188,24 @@ class SliceResult:
     def criterion(self):
         return self.resolved.criterion
 
+    @classmethod
+    def of_body(
+        cls, algorithm: str, resolved: ResolvedCriterion,
+        analysis: ProgramAnalysis, body: "SliceBody",
+    ) -> "SliceResult":
+        """A start-set slicer's answer: its criterion plus its body."""
+        return cls(
+            algorithm, resolved, body.nodes, analysis, body.traversals,
+            body.label_map, list(body.notes),
+        )
+
     def statement_nodes(self) -> List[int]:
-        """Slice members that are real statements (ENTRY/EXIT stripped)."""
+        """Slice members that are real statements (ENTRY/EXIT stripped).
+
+        A CFG has exactly one node of each of those kinds, so they are
+        stripped by id."""
         cfg = self.analysis.cfg
-        return [
-            node_id
-            for node_id in sorted(self.nodes)
-            if cfg.nodes[node_id].kind
-            not in (NodeKind.ENTRY, NodeKind.EXIT)
-        ]
+        return sorted(self.nodes - {cfg.entry_id, cfg.exit_id})
 
     def lines(self) -> List[int]:
         """Source lines of the slice's statements, sorted."""
@@ -234,3 +251,55 @@ def conventional_base(
     """
     budget_tick("conventional-base")
     return set(analysis.pdg.backward_closure(resolved.seeds))
+
+
+def slice_start(
+    analysis: ProgramAnalysis, criterion: SlicingCriterion
+) -> Tuple[ResolvedCriterion, FrozenSet[int]]:
+    """The prepare step every start-set slicer shares: resolve the
+    criterion and compute its conventional slice, frozen — the start
+    set the jump passes grow from and the key their memo is kept by."""
+    resolved = resolve_criterion(analysis, criterion)
+    with trace_span("conventional-base"):
+        budget_tick("conventional-base")
+        return resolved, analysis.pdg.backward_closure(resolved.seeds)
+
+
+class SliceBody(NamedTuple):
+    """Everything a start-set slicer's finish step computes from the
+    conventional base alone: the parts of a :class:`SliceResult` that do
+    not name the criterion.  Only ints, strings, a frozenset, a tuple
+    and a dict of them, so a memoized body keeps its cache entry
+    acyclic (DESIGN.md §17)."""
+
+    nodes: FrozenSet[int]
+    traversals: int
+    label_map: Dict[str, int]
+    notes: Tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class StartSetSlicer:
+    """A slicer split at its conventional base (DESIGN.md §11).
+
+    ``prepare`` runs the precondition gate and :func:`slice_start`;
+    ``finish`` runs the §3 jump passes and the label re-association on
+    the base alone.  Two criteria with one base therefore get one body,
+    which is what lets the engine memoize ``finish`` by its base.
+    Calling the slicer runs the two steps in turn.
+    """
+
+    algorithm: str
+    prepare: Callable[
+        [ProgramAnalysis, SlicingCriterion],
+        Tuple[ResolvedCriterion, FrozenSet[int]],
+    ]
+    finish: Callable[[ProgramAnalysis, FrozenSet[int]], SliceBody]
+
+    def __call__(
+        self, analysis: ProgramAnalysis, criterion: SlicingCriterion
+    ) -> SliceResult:
+        resolved, base = self.prepare(analysis, criterion)
+        return SliceResult.of_body(
+            self.algorithm, resolved, analysis, self.finish(analysis, base)
+        )

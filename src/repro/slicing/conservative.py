@@ -13,41 +13,30 @@ to fold into the conventional slicer's closure ("on-the-fly detection",
 
 from __future__ import annotations
 
-from typing import Set
+from typing import FrozenSet
 
 from repro.obs.tracer import trace_span
 from repro.pdg.builder import ProgramAnalysis
 from repro.service.resilience import budget_tick
-from repro.slicing.common import SliceResult, conventional_base, reassociate_labels
-from repro.slicing.criterion import SlicingCriterion, resolve_criterion
+from repro.slicing.common import SliceBody, SliceResult
+from repro.slicing.criterion import SlicingCriterion
 from repro.slicing.structured import (
     _controlled_by_slice_predicate,
-    check_preconditions,
-    repair_slice,
+    finish_body,
+    gated_start,
 )
 
 
-def conservative_slice(
-    analysis: ProgramAnalysis,
-    criterion: SlicingCriterion,
-    force: bool = False,
-) -> SliceResult:
-    """Slice with the paper's Fig. 13 algorithm.
-
-    Like :func:`repro.slicing.structured.structured_slice`, this is only
-    guaranteed correct on structured programs; ``force=True`` bypasses
-    the check.
-    """
-    structured = check_preconditions(analysis, "Fig. 13", force)
-    resolved = resolve_criterion(analysis, criterion)
-    cfg = analysis.cfg
-    with trace_span("conventional-base"):
-        slice_set: Set[int] = conventional_base(analysis, resolved)
-
+def fig13_finish(
+    analysis: ProgramAnalysis, base: FrozenSet[int], force: bool = False
+) -> SliceBody:
+    """Fig. 13 from its conventional slice *base*: the sweep over every
+    jump, the E4 repair and the label re-association."""
+    slice_set = set(base)
     with trace_span("fig13-sweep") as span:
         jumps_examined = 0
         jumps_added = 0
-        for node in cfg.jump_nodes():
+        for node in analysis.cfg.jump_nodes():
             budget_tick("fig13-jump")
             if node.id in slice_set:
                 continue
@@ -68,14 +57,23 @@ def conservative_slice(
     # Fig. 13 leans on the same property 2 as Fig. 12, so it inherits
     # the same defensive repair (erratum E4 — see jump_repair_pass);
     # force=True means "exactly as published" and skips it.
-    _, notes = repair_slice(analysis, slice_set, structured, force)
-    nodes = frozenset(slice_set)
-    return SliceResult(
-        algorithm="conservative",
-        resolved=resolved,
-        nodes=nodes,
-        analysis=analysis,
-        traversals=0,
-        label_map=reassociate_labels(analysis, nodes),
-        notes=notes,
+    return finish_body(analysis, slice_set, base, 0, force)
+
+
+def conservative_slice(
+    analysis: ProgramAnalysis,
+    criterion: SlicingCriterion,
+    force: bool = False,
+) -> SliceResult:
+    """Slice with the paper's Fig. 13 algorithm: the gate and the
+    conventional slice, then :func:`fig13_finish`.
+
+    Like :func:`repro.slicing.structured.structured_slice`, this is only
+    guaranteed correct on structured programs; ``force=True`` bypasses
+    the check.
+    """
+    resolved, base = gated_start(analysis, criterion, "Fig. 13", force)
+    return SliceResult.of_body(
+        "conservative", resolved, analysis,
+        fig13_finish(analysis, base, force),
     )

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Set
 
-from repro.cfg.graph import NodeKind
 from repro.obs.tracer import trace_span
 from repro.pdg.builder import ProgramAnalysis
 from repro.service.resilience import budget_round
@@ -51,6 +50,7 @@ def lyle_slice(
         return reach_cache[start]
 
     jumps = [node.id for node in cfg.jump_nodes()]
+    boundary = (cfg.entry_id, cfg.exit_id)
     with trace_span("lyle-fixed-point") as span:
         rounds = 0
         jumps_added = 0
@@ -67,8 +67,7 @@ def lyle_slice(
                 feeds = any(
                     jump_id in reachable(member)
                     for member in slice_set
-                    if cfg.nodes[member].kind
-                    not in (NodeKind.ENTRY, NodeKind.EXIT)
+                    if member not in boundary
                 )
                 if feeds:
                     slice_set.add(jump_id)

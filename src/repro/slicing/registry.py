@@ -1,44 +1,49 @@
 """Name → slicing-algorithm registry (CLI, benches, and compare tooling).
 
 Every algorithm shares the signature
-``f(analysis: ProgramAnalysis, criterion: SlicingCriterion) -> SliceResult``;
-variants needing extra arguments (the LST-driven Fig. 7 traversal, the
-forced structured slicers) are registered as partially-applied entries.
+``f(analysis: ProgramAnalysis, criterion: SlicingCriterion) -> SliceResult``.
+The paper's own algorithms (Figs. 7, 12 and 13, and the LST-driven
+Fig. 7) are registered as :class:`~repro.slicing.common.StartSetSlicer`
+entries: the same prepare and finish steps their public functions run,
+exposed so the engine can memoize the finish by its start set.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List
 
 from repro.pdg.builder import ProgramAnalysis
-from repro.slicing.agrawal import agrawal_slice
+from repro.slicing.agrawal import fig7_finish
 from repro.slicing.ball_horwitz import ball_horwitz_slice
-from repro.slicing.common import SliceResult
-from repro.slicing.conservative import conservative_slice
+from repro.slicing.common import SliceResult, StartSetSlicer, slice_start
+from repro.slicing.conservative import fig13_finish
 from repro.slicing.conventional import conventional_slice
 from repro.slicing.criterion import SlicingCriterion
 from repro.slicing.gallagher import gallagher_slice
 from repro.slicing.jiang import jiang_slice
 from repro.slicing.lyle import lyle_slice
-from repro.slicing.structured import structured_slice
+from repro.slicing.structured import fig12_finish, gated_start
 from repro.slicing.weiser import weiser_slice
 from repro.sdg.slicer import interprocedural_slice
 
 Slicer = Callable[[ProgramAnalysis, SlicingCriterion], SliceResult]
 
 
-def _agrawal_lexical(
-    analysis: ProgramAnalysis, criterion: SlicingCriterion
-) -> SliceResult:
-    return agrawal_slice(analysis, criterion, drive_tree="lexical")
-
-
 ALGORITHMS: Dict[str, Slicer] = {
     "conventional": conventional_slice,
-    "agrawal": agrawal_slice,
-    "agrawal-lst": _agrawal_lexical,
-    "structured": structured_slice,
-    "conservative": conservative_slice,
+    "agrawal": StartSetSlicer("agrawal", slice_start, fig7_finish),
+    # The LST-driven variant reports itself as "agrawal", as
+    # agrawal_slice(drive_tree="lexical") does.
+    "agrawal-lst": StartSetSlicer(
+        "agrawal", slice_start, partial(fig7_finish, drive_tree="lexical")
+    ),
+    "structured": StartSetSlicer(
+        "structured", partial(gated_start, figure="Fig. 12"), fig12_finish
+    ),
+    "conservative": StartSetSlicer(
+        "conservative", partial(gated_start, figure="Fig. 13"), fig13_finish
+    ),
     "ball-horwitz": ball_horwitz_slice,
     "lyle": lyle_slice,
     "gallagher": gallagher_slice,

@@ -19,7 +19,7 @@ to chase dependence closures.
 from __future__ import annotations
 
 from functools import partial
-from typing import List, Set, Tuple
+from typing import FrozenSet, List, Set, Tuple
 
 from repro.cfg.graph import NodeKind
 from repro.lang.errors import SliceError
@@ -27,12 +27,13 @@ from repro.obs.tracer import trace_span
 from repro.pdg.builder import ProgramAnalysis
 from repro.analysis.lexical import is_structured_program
 from repro.slicing.common import (
+    SliceBody,
     SliceResult,
     admit_jumps,
-    conventional_base,
     reassociate_labels,
+    slice_start,
 )
-from repro.slicing.criterion import SlicingCriterion, resolve_criterion
+from repro.slicing.criterion import ResolvedCriterion, SlicingCriterion
 
 #: Node kinds that count as predicates for the "directly control
 #: dependent on a predicate in Slice" test.  ENTRY is included: the paper
@@ -147,15 +148,14 @@ def jump_repair_pass(analysis: ProgramAnalysis, slice_set: Set[int]) -> Set[int]
 
 def check_preconditions(
     analysis: ProgramAnalysis, figure: str, force: bool
-) -> bool:
+) -> None:
     """Refuse a program outside *figure*'s (Fig. 12's or Fig. 13's)
     guarantees: an unstructured program, dead code, or an
     exit-diverting predicate (erratum E1).  ``force=True`` runs the
-    figure regardless.  Returns whether the program is structured."""
-    structured = is_structured_program(analysis.cfg, analysis.lst)
+    figure regardless."""
     if force:
-        return structured
-    if not structured:
+        return
+    if not is_structured_program(analysis.cfg, analysis.lst):
         raise SliceError(
             f"{figure} requires a structured program (every jump's "
             "target lexically succeeds it); use agrawal_slice for "
@@ -178,50 +178,56 @@ def check_preconditions(
             "E1, see EXPERIMENTS.md); use agrawal_slice or pass "
             "force=True"
         )
-    return True
 
 
-def repair_slice(
-    analysis: ProgramAnalysis, slice_set: Set[int], structured: bool,
-    force: bool,
-) -> Tuple[Set[int], List[str]]:
-    """Finish a Fig. 12/13 slice in place: run the erratum-E4 repair
-    pass unless *force* asks for the figure exactly as published.
-    Returns the jumps the repair added and the slice's notes."""
+def gated_start(
+    analysis: ProgramAnalysis,
+    criterion: SlicingCriterion,
+    figure: str,
+    force: bool = False,
+) -> Tuple[ResolvedCriterion, FrozenSet[int]]:
+    """The prepare step of Figs. 12 and 13: the precondition gate, then
+    :func:`~repro.slicing.common.slice_start`."""
+    check_preconditions(analysis, figure, force)
+    return slice_start(analysis, criterion)
+
+
+def finish_body(
+    analysis: ProgramAnalysis, slice_set: Set[int], base: FrozenSet[int],
+    traversals: int, force: bool,
+) -> SliceBody:
+    """Finish a Fig. 12/13 slice: run the erratum-E4 repair pass unless
+    *force* asks for the figure exactly as published, then re-associate
+    labels.  A repair counts as one more traversal when *traversals* is
+    counted at all (Fig. 12's single pass; Fig. 13 counts none)."""
     if force:
         repaired: Set[int] = set()
     else:
         with trace_span("jump-repair") as span:
             repaired = jump_repair_pass(analysis, slice_set)
             span.set(jumps_added=len(repaired))
-    notes = [] if structured else ["ran on an unstructured program (force)"]
+    notes: List[str] = []
+    if force and not is_structured_program(analysis.cfg, analysis.lst):
+        notes.append("ran on an unstructured program (force)")
     if repaired:
         notes.append(
             "erratum E4 repair added jump node(s) "
             f"{sorted(repaired)} missed by the property-2 predicate test"
         )
-    return repaired, notes
+        if traversals:
+            traversals += 1
+    nodes = base if len(slice_set) == len(base) else frozenset(slice_set)
+    return SliceBody(
+        nodes, traversals, reassociate_labels(analysis, nodes), tuple(notes)
+    )
 
 
-def structured_slice(
-    analysis: ProgramAnalysis,
-    criterion: SlicingCriterion,
-    force: bool = False,
-) -> SliceResult:
-    """Slice with the paper's Fig. 12 algorithm.
-
-    Raises :class:`SliceError` when the program is not structured, since
-    the algorithm's guarantees do not apply; pass ``force=True`` to run
-    the algorithm exactly as published — skipping both the
-    preconditions and the erratum-E4 defensive repair — so the result
-    may be an under-approximation (useful for the tests that
-    demonstrate *why* the precondition and the repair exist).
-    """
-    structured = check_preconditions(analysis, "Fig. 12", force)
-    resolved = resolve_criterion(analysis, criterion)
-    with trace_span("conventional-base"):
-        slice_set: Set[int] = conventional_base(analysis, resolved)
-
+def fig12_finish(
+    analysis: ProgramAnalysis, base: FrozenSet[int], force: bool = False
+) -> SliceBody:
+    """Fig. 12 from its conventional slice *base*: one filtered pass,
+    the E4 repair and the label re-association."""
+    slice_set = set(base)
     # The closure is defensive — a no-op when the paper's property 2
     # holds (see the matching comment in conservative.py).
     with trace_span("fig12-traversal") as span:
@@ -231,15 +237,25 @@ def structured_slice(
             eligible=partial(_controlled_by_slice_predicate, analysis),
         )
         span.set(jumps_examined=examined, jumps_added=len(added))
+    return finish_body(analysis, slice_set, base, 1, force)
 
-    repaired, notes = repair_slice(analysis, slice_set, structured, force)
-    nodes = frozenset(slice_set)
-    return SliceResult(
-        algorithm="structured",
-        resolved=resolved,
-        nodes=nodes,
-        analysis=analysis,
-        traversals=1 + (1 if repaired else 0),
-        label_map=reassociate_labels(analysis, nodes),
-        notes=notes,
+
+def structured_slice(
+    analysis: ProgramAnalysis,
+    criterion: SlicingCriterion,
+    force: bool = False,
+) -> SliceResult:
+    """Slice with the paper's Fig. 12 algorithm: :func:`gated_start`,
+    then :func:`fig12_finish`.
+
+    Raises :class:`SliceError` when the program is not structured, since
+    the algorithm's guarantees do not apply; pass ``force=True`` to run
+    the algorithm exactly as published — skipping both the
+    preconditions and the erratum-E4 defensive repair — so the result
+    may be an under-approximation (useful for the tests that
+    demonstrate *why* the precondition and the repair exist).
+    """
+    resolved, base = gated_start(analysis, criterion, "Fig. 12", force)
+    return SliceResult.of_body(
+        "structured", resolved, analysis, fig12_finish(analysis, base, force)
     )

@@ -2,7 +2,7 @@
 
 Builds fixed ``/stats`` payloads that populate every metric family —
 labelled requests and errors, every ``sdg:*`` and ``sdg-index:*``
-event, latency and phase histograms, all four engine tiers plus the
+event, latency and phase histograms, all five engine tiers plus the
 durable store and the collector — and pins three renderings in
 ``tests/golden/metrics/``:
 
@@ -94,6 +94,12 @@ def worker_payload(shard: int) -> Dict[str, Any]:
         "misses": 12 * scale,
         "evictions": 2 * shard,
         "hit_rate": _rate(30 + shard, 12 * scale),
+    }
+    payload["start_set_cache"] = {
+        "hits": 9 + shard,
+        "misses": 3 * scale,
+        "evictions": shard,
+        "hit_rate": _rate(9 + shard, 3 * scale),
     }
     payload["incremental"] = {
         "capacity": 256,
